@@ -27,18 +27,15 @@
 use balance_core::Budget;
 use balance_machine::{
     CapacityProfile, FaultPlan, Lookup, ProfileKey, ProfileMeta, ProfilePayload, ProfileStore,
-    StackDistance, StoreError,
+    StoreError,
 };
 
 use crate::error::KernelError;
 use crate::sweep::{
-    engine_spec, robust_capacity_profile, Engine, Provenance, SweepConfig, TrafficModel,
+    engine_spec, robust_capacity_profile, tagged_profile, Engine, Provenance, SweepConfig,
+    TrafficModel,
 };
 use crate::traits::{all_kernels, extension_kernels, Kernel};
-
-/// Address-space bound below which the tagged recompute uses the
-/// direct-indexed engine backend (same regime the sweeps use).
-const DIRECT_BOUND: u64 = 1 << 26;
 
 /// Every kernel the store precomputes: the eight paper kernels plus the
 /// three extensions, in registry order.
@@ -252,15 +249,7 @@ impl<'a> ProfileService<'a> {
                     ),
                 })?;
             let bound = trace.addr_bound();
-            let traffic = if bound <= DIRECT_BOUND {
-                StackDistance::traffic_profile_of_bounded(
-                    trace.into_accesses(),
-                    model.line_words,
-                    bound,
-                )
-            } else {
-                StackDistance::traffic_profile_of(trace.into_accesses(), model.line_words)
-            };
+            let traffic = tagged_profile(trace.into_accesses(), model.line_words, bound);
             let meta = ProfileMeta {
                 kernel: kernel.name().to_string(),
                 n: n as u64,
@@ -398,6 +387,42 @@ mod tests {
         // Bit-identical to a fresh recompute at every probed capacity.
         let (_, fresh, _) = service.recompute(&MatMul, 24, TrafficModel::WORD).unwrap();
         assert_eq!(second.payload, fresh);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repair_and_sweep_share_one_backend_chooser() {
+        use crate::sweep::direct_bound;
+        // Both boundaries the two call sites ever used: the repair's old
+        // 2^26 cut and the sweeps' u32::MAX / 2, which survives.
+        let cut = u64::from(u32::MAX / 2);
+        for (bound, direct) in [
+            (0, false),
+            (1, true),
+            (1 << 26, true),
+            ((1 << 26) + 1, true),
+            (cut - 1, true),
+            (cut, false),
+            (u64::MAX, false),
+        ] {
+            assert_eq!(
+                direct_bound(bound),
+                direct.then_some(bound),
+                "bound {bound}"
+            );
+        }
+        // The repair builds its tagged profile through the sweep's chooser.
+        let (dir, store) = tmp_store("chooser");
+        let service = ProfileService::new(&store);
+        let (_, payload, _) = service
+            .recompute(&MatMul, 16, TrafficModel::device(4))
+            .unwrap();
+        let trace = MatMul.access_trace(16).unwrap();
+        let bound = trace.addr_bound();
+        assert_eq!(
+            payload,
+            ProfilePayload::Traffic(tagged_profile(trace.into_accesses(), 4, bound))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -49,7 +49,7 @@ use balance_machine::{
     resumable_replay, sampled_profile_of, sampled_profile_of_bounded, segmented_profile_of,
     segmented_profile_resumable, CapacityProfile, CheckpointPolicy, FaultPlan, Hierarchy,
     LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance,
-    StackDistance, MAX_SAMPLE_SHIFT,
+    StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
 };
 
 use crate::error::KernelError;
@@ -813,9 +813,24 @@ fn capacity_points_profile(
 }
 
 /// Whether the address bound is worth a direct-indexed last-access table
-/// (a flat `8 × bound`-byte allocation per engine/worker).
-fn direct_bound(bound: u64) -> Option<u64> {
+/// (a flat `8 × bound`-byte allocation per engine/worker). The one backend
+/// chooser: every engine this crate builds — the sweeps and the profile
+/// service's repairs — routes its backend choice through here.
+pub(crate) fn direct_bound(bound: u64) -> Option<u64> {
     (bound > 0 && bound < u64::from(u32::MAX / 2)).then_some(bound)
+}
+
+/// The one-pass tagged [`TrafficProfile`] of `accesses` at `line_words`,
+/// on the backend [`direct_bound`] picks for the trace's address bound.
+pub(crate) fn tagged_profile(
+    accesses: impl IntoIterator<Item = Access>,
+    line_words: u64,
+    bound: u64,
+) -> TrafficProfile {
+    match direct_bound(bound) {
+        Some(b) => StackDistance::traffic_profile_of_bounded(accesses, line_words, b),
+        None => StackDistance::traffic_profile_of(accesses, line_words),
+    }
 }
 
 /// The line size a ladder level transfers under `model`: the level's own
@@ -1016,10 +1031,7 @@ fn device_points_profile(
     let comp = trace.comp_ops();
     let bound = trace.addr_bound();
     let accesses = device_accesses(trace, model);
-    let tp = match direct_bound(bound) {
-        Some(b) => StackDistance::traffic_profile_of_bounded(accesses, model.line_words, b),
-        None => StackDistance::traffic_profile_of(accesses, model.line_words),
-    };
+    let tp = tagged_profile(accesses, model.line_words, bound);
     collect_sweep(
         kernel,
         memories.iter().map(|&m| {

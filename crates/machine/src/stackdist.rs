@@ -31,7 +31,11 @@
 //! popcounts — 64× smaller than a flat Fenwick, so it lives in L1/L2)
 //! counts the distinct addresses between consecutive touches, and the
 //! slot space is compacted in amortized `O(1)` when the time pointer
-//! outruns it. Both `LruCache` index strategies are mirrored: a
+//! outruns it. The leaf that fresh markers land in — the *open leaf* —
+//! stays out of the Fenwick tree until the time pointer moves past it, so
+//! a push is one bit set, a reuse within the top 64 slots is one masked
+//! popcount with no tree walk, and any other reuse walks the tree twice
+//! (rank, then removal). Both `LruCache` index strategies are mirrored: a
 //! direct-indexed last-access table when the caller can bound the address
 //! space, a hash map otherwise.
 //!
@@ -61,8 +65,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// The live-marker order statistic: one bit per time slot, 64 slots
 /// packed per `u64` leaf, with a Fenwick (binary indexed) tree over the
-/// leaves' popcounts. `add`/`remove` flip one bit and adjust one Fenwick
-/// path; `count_after` popcounts a partial leaf plus one Fenwick prefix.
+/// popcounts of the *closed* leaves.
 ///
 /// The two-level layout is the perf-critical choice: a flat Fenwick over
 /// `S` slots walks `log₂S` scattered cache lines per operation, while
@@ -70,12 +73,32 @@ const EMPTY: u64 = u64::MAX;
 /// that mostly stays in L1/L2) and pays one `count_ones` instead of the
 /// six deepest tree levels. Counters are `u64` so the distinct-address
 /// count shares the logical clock's no-overflow guarantee.
+///
+/// Compaction and restore lay the live markers out packed in slots
+/// `0..live` ([`MarkerTree::reset_packed`]); between them slots are added
+/// only at the engine's time pointer, in increasing order. So every leaf
+/// past the highest one added to is empty. That leaf, the **open leaf**,
+/// stays out of the Fenwick tree: it enters exactly once, with its
+/// popcount, when the first `add` lands past it. Per operation:
+///
+/// - `add` is one bit set (plus one tree walk per 64 slots, closing the
+///   open leaf);
+/// - `remove` clears one bit, and walks the tree only for a closed leaf;
+/// - `count_after(p)` is one masked popcount for `p` in the open leaf,
+///   and otherwise that popcount plus `live` minus one Fenwick prefix.
+///
+/// So a reuse walks the tree at most twice, and a reuse whose previous
+/// touch sits in the open leaf — the common short reuse — never does.
 #[derive(Debug, Clone)]
 struct MarkerTree {
     /// Bit `i & 63` of `bits[i >> 6]` = slot `i` is live.
     bits: Vec<u64>,
-    /// Fenwick tree over per-leaf popcounts (`tree[0]` unused).
+    /// Fenwick tree over the popcounts of leaves `0..open`
+    /// (`tree[0]` unused).
     tree: Vec<u64>,
+    /// The open leaf: not in the Fenwick tree; every leaf above it is
+    /// empty.
+    open: usize,
     live: u64,
 }
 
@@ -85,6 +108,7 @@ impl MarkerTree {
         MarkerTree {
             bits: vec![0; leaves],
             tree: vec![0; leaves + 1],
+            open: 0,
             live: 0,
         }
     }
@@ -94,37 +118,21 @@ impl MarkerTree {
         self.bits.len() * 64
     }
 
-    /// Marks slot `i` live.
-    fn add(&mut self, i: usize) {
-        debug_assert_eq!(self.bits[i >> 6] >> (i & 63) & 1, 0, "slot already live");
-        self.live += 1;
-        self.bits[i >> 6] |= 1u64 << (i & 63);
-        let mut w = (i >> 6) + 1;
+    /// Adds `delta` to leaf `leaf`'s count along its Fenwick path.
+    #[inline]
+    fn tree_add(&mut self, leaf: usize, delta: i64) {
+        let mut w = leaf + 1;
         while w < self.tree.len() {
-            self.tree[w] += 1;
+            self.tree[w] = self.tree[w].wrapping_add_signed(delta);
             w += w & w.wrapping_neg();
         }
     }
 
-    /// Marks slot `i` dead (it must be live).
-    fn remove(&mut self, i: usize) {
-        debug_assert_eq!(self.bits[i >> 6] >> (i & 63) & 1, 1, "slot not live");
-        self.live -= 1;
-        self.bits[i >> 6] &= !(1u64 << (i & 63));
-        let mut w = (i >> 6) + 1;
-        while w < self.tree.len() {
-            self.tree[w] -= 1;
-            w += w & w.wrapping_neg();
-        }
-    }
-
-    /// Live markers in slots `[0, i]`.
-    fn prefix(&self, i: usize) -> u64 {
-        // Partial leaf: bits at positions <= i & 63.
-        let mask = u64::MAX >> (63 - (i & 63));
-        let mut sum = u64::from((self.bits[i >> 6] & mask).count_ones());
-        // Whole leaves before it, off the Fenwick tree.
-        let mut w = i >> 6;
+    /// Live markers counted by the Fenwick tree in leaves `0..=leaf`.
+    #[inline]
+    fn tree_prefix(&self, leaf: usize) -> u64 {
+        let mut sum = 0;
+        let mut w = leaf + 1;
         while w > 0 {
             sum += self.tree[w];
             w -= w & w.wrapping_neg();
@@ -132,16 +140,98 @@ impl MarkerTree {
         sum
     }
 
-    /// Live markers strictly after slot `i`.
-    fn count_after(&self, i: usize) -> u64 {
-        self.live - self.prefix(i)
+    /// Marks slot `i` live. `i` must not lie below the open leaf.
+    #[inline]
+    fn add(&mut self, i: usize) {
+        let leaf = i >> 6;
+        debug_assert!(leaf >= self.open, "slots must be added in increasing order");
+        debug_assert_eq!(self.bits[leaf] >> (i & 63) & 1, 0, "slot already live");
+        if leaf != self.open {
+            // First marker past the open leaf: close it, once.
+            let count = i64::from(self.bits[self.open].count_ones());
+            self.tree_add(self.open, count);
+            self.open = leaf;
+        }
+        self.live += 1;
+        self.bits[leaf] |= 1u64 << (i & 63);
     }
 
-    /// Whether slot `i` is live — the single source of truth compaction
-    /// reads (so `slot_addr` needs no dead-slot sentinel and every `u64`
-    /// address value is representable).
-    fn is_live(&self, i: usize) -> bool {
-        self.bits[i >> 6] >> (i & 63) & 1 == 1
+    /// Marks slot `i` dead (it must be live).
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        let leaf = i >> 6;
+        debug_assert_eq!(self.bits[leaf] >> (i & 63) & 1, 1, "slot not live");
+        self.live -= 1;
+        self.bits[leaf] &= !(1u64 << (i & 63));
+        if leaf != self.open {
+            self.tree_add(leaf, -1);
+        }
+    }
+
+    /// Live markers strictly after slot `i`.
+    #[inline]
+    fn count_after(&self, i: usize) -> u64 {
+        let leaf = i >> 6;
+        // Two shifts: `>> 64` would overflow when `i & 63 == 63`.
+        let above = u64::from((self.bits[leaf] >> (i & 63) >> 1).count_ones());
+        if leaf == self.open {
+            above
+        } else {
+            above + self.live - self.tree_prefix(leaf)
+        }
+    }
+
+    /// Checks that the Fenwick tree holds exactly the closed leaves:
+    /// its total is `live` minus the open leaf's popcount.
+    fn debug_check(&self) {
+        if cfg!(debug_assertions) {
+            let total = self.tree_prefix(self.bits.len() - 1);
+            let open = u64::from(self.bits[self.open].count_ones());
+            debug_assert_eq!(
+                total,
+                self.live - open,
+                "Fenwick total drifted from live markers"
+            );
+        }
+    }
+
+    /// The live slots in increasing order — the single source of truth
+    /// compaction reads (so `slot_addr` needs no dead-slot sentinel and
+    /// every `u64` address value is representable).
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.bits.iter().enumerate().flat_map(|(leaf, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    leaf * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Resets to `slots` slots (rounded up to whole leaves) with exactly
+    /// slots `0..live` live — the layout compaction and restore leave.
+    /// The open leaf is the one slot `live` falls in; every leaf below it
+    /// is full and closed, so each Fenwick node is 64 × the closed leaves
+    /// it covers.
+    fn reset_packed(&mut self, slots: usize, live: usize) {
+        let leaves = slots.div_ceil(64).max(1);
+        let open = live >> 6;
+        debug_assert!(open < leaves, "packed markers overflow the slot space");
+        self.bits.clear();
+        self.bits.resize(leaves, 0);
+        self.bits[..open].fill(u64::MAX);
+        self.bits[open] = (1u64 << (live & 63)) - 1;
+        self.tree.clear();
+        self.tree.extend((0..=leaves).map(|w| {
+            let first = w - (w & w.wrapping_neg());
+            64 * w.min(open).saturating_sub(first) as u64
+        }));
+        self.open = open;
+        self.live = live as u64;
+        self.debug_check();
     }
 }
 
@@ -285,7 +375,7 @@ pub struct StackDistance {
     markers: MarkerTree,
     /// `slot_addr[s]` = the address whose latest access lives in physical
     /// slot `s`, for compaction. Meaningful only where
-    /// [`MarkerTree::is_live`] says so — liveness lives in the marker
+    /// [`MarkerTree::live_slots`] says so — liveness lives in the marker
     /// bitmap, not in a sentinel value, so every `u64` is a valid address.
     slot_addr: Vec<u64>,
     /// Monotonic logical clock: the timestamp the next touch will take.
@@ -573,9 +663,10 @@ impl StackDistance {
                     }
                 }
             }
-            engine.markers.add(i);
             engine.slot_addr[i] = addr;
         }
+        let slots = engine.markers.slots();
+        engine.markers.reset_packed(slots, stack.len());
         engine.clock = clock;
         engine.origin = origin;
         engine.hist = hist;
@@ -658,6 +749,7 @@ impl StackDistance {
     ///
     /// On the direct-indexed backend, panics if `addr` exceeds the bound
     /// declared at construction.
+    #[inline]
     pub fn observe(&mut self, addr: u64) {
         self.accesses += 1;
         match self.index_touch(addr) {
@@ -701,6 +793,7 @@ impl StackDistance {
     /// # Panics
     ///
     /// As [`StackDistance::observe`].
+    #[inline]
     pub fn observe_tagged(&mut self, line: u64, is_write: bool) {
         self.accesses += 1;
         let gap = match self.index_touch(line) {
@@ -779,9 +872,8 @@ impl StackDistance {
     /// The live addresses in recency order, oldest first — the engine's
     /// final LRU stack, bottom to top.
     pub(crate) fn final_stack(&self) -> Vec<u64> {
-        let window = (self.clock - self.origin) as usize;
-        (0..window)
-            .filter(|&s| self.markers.is_live(s))
+        self.markers
+            .live_slots()
             .map(|s| self.slot_addr[s])
             .collect()
     }
@@ -1002,29 +1094,18 @@ impl StackDistance {
     /// than half the slots are live (only possible on the hash backend,
     /// whose distinct-address count is unbounded).
     fn compact(&mut self) {
+        self.markers.debug_check();
         let slots = self.markers.slots();
         let live = usize::try_from(self.markers.live)
             .unwrap_or_else(|_| panic!("live marker count overflows usize"));
-        let new_slots = if live * 2 > slots {
-            slots
-                .checked_mul(2)
-                .unwrap_or_else(|| panic!("slot space overflows usize"))
-        } else {
-            slots
-        };
-        let mut markers = MarkerTree::new(new_slots);
-        let mut slot_addr = vec![0; markers.slots()];
         // The clock is untouched; live entries take the `live` timestamps
         // just below it, so physical slot = timestamp − origin holds again.
+        // Entries only move down (dst ≤ src), so the slide is in place.
         let origin = self.clock - live as u64;
-        let mut dst = 0usize;
-        for src in 0..slots {
-            if !self.markers.is_live(src) {
-                continue;
-            }
+        let mut moved = 0usize;
+        for (dst, src) in self.markers.live_slots().enumerate() {
             let addr = self.slot_addr[src];
-            slot_addr[dst] = addr;
-            markers.add(dst);
+            self.slot_addr[dst] = addr;
             let t = origin + dst as u64;
             match &mut self.index {
                 LastIndex::Direct(table) => table[addr as usize] = t,
@@ -1032,11 +1113,18 @@ impl StackDistance {
                     map.insert(addr, t);
                 }
             }
-            dst += 1;
+            moved += 1;
         }
-        debug_assert_eq!(dst, live, "compaction must keep every live marker");
-        self.markers = markers;
-        self.slot_addr = slot_addr;
+        debug_assert_eq!(moved, live, "compaction must keep every live marker");
+        let new_slots = if live * 2 > slots {
+            slots
+                .checked_mul(2)
+                .unwrap_or_else(|| panic!("slot space overflows usize"))
+        } else {
+            slots
+        };
+        self.markers.reset_packed(new_slots, live);
+        self.slot_addr.resize(self.markers.slots(), 0);
         self.origin = origin;
     }
 }
@@ -1771,6 +1859,174 @@ mod tests {
             for m in [1u64, 4, 15, 16, 17] {
                 assert_eq!(p.misses_at(m), replay_misses(&trace, m), "cut {cut} m {m}");
             }
+        }
+    }
+
+    /// One step of a 64-bit LCG (Knuth's MMIX constants): the seeded
+    /// stream the open-leaf tests draw from.
+    fn lcg(x: &mut u64) -> u64 {
+        *x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *x
+    }
+
+    /// One pass over `0..distinct` (so every address is live by the first
+    /// compaction), then a seeded mix of cyclic sweeps (reuse distance
+    /// `distinct`) and uniform picks (every distance up to it).
+    fn sweep_then_mix(distinct: u64, len: usize, seed: u64) -> Vec<u64> {
+        let mut x = seed;
+        let mut trace: Vec<u64> = (0..distinct).collect();
+        trace.extend((0..len as u64).map(|i| {
+            let r = lcg(&mut x);
+            if r >> 63 == 0 {
+                i % distinct
+            } else {
+                (r >> 33) % distinct
+            }
+        }));
+        trace
+    }
+
+    /// Replays `trace` through `engine` and checks the profile against an
+    /// `LruCache` replay at every capacity up to one past the distinct
+    /// count.
+    fn check_engine_against_replay(mut engine: StackDistance, trace: &[u64], what: &str) {
+        engine.observe_trace(trace.iter().copied());
+        let p = engine.into_profile();
+        for m in 1..=p.distinct_addresses() + 1 {
+            assert_eq!(
+                p.misses_at(m),
+                replay_misses(trace, m),
+                "{what}: capacity {m}"
+            );
+        }
+    }
+
+    /// Both backends over the same slot space: direct-indexed with bound
+    /// `distinct` (slot space `2 · distinct`, rounded up to whole leaves)
+    /// and hashed with that slot space.
+    fn both_backends(distinct: u64) -> [(StackDistance, &'static str); 2] {
+        [
+            (StackDistance::with_address_bound(distinct), "direct"),
+            (
+                StackDistance::with_slots(LastIndex::Map(HashMap::new()), 2 * distinct as usize),
+                "hashed",
+            ),
+        ]
+    }
+
+    #[test]
+    fn marker_tree_matches_a_naive_model() {
+        // From each packed start (as compaction and restore leave it),
+        // slots are added in increasing order with seeded removals of
+        // live slots; after every step each live slot's `count_after`
+        // must equal a brute-force count, across leaf closes and reuses
+        // from the open leaf, the leaf just below it, and deeper leaves.
+        for packed in [0usize, 1, 63, 64, 65, 128, 200] {
+            let mut tree = MarkerTree::new(16);
+            tree.reset_packed(640, packed);
+            let mut model = vec![false; tree.slots()];
+            model[..packed].fill(true);
+            let mut x = 7 + packed as u64;
+            let mut next = packed;
+            while next < model.len() {
+                let r = lcg(&mut x);
+                let live: Vec<usize> = (0..next).filter(|&s| model[s]).collect();
+                if r >> 62 != 0 || live.is_empty() {
+                    tree.add(next);
+                    model[next] = true;
+                    next += 1;
+                } else {
+                    let s = live[(r >> 33) as usize % live.len()];
+                    tree.remove(s);
+                    model[s] = false;
+                }
+                for (after, s) in (0..next).rev().filter(|&s| model[s]).enumerate() {
+                    assert_eq!(
+                        tree.count_after(s),
+                        after as u64,
+                        "slot {s}, {next} pushed from {packed}"
+                    );
+                }
+                assert!(tree.live_slots().eq((0..next).filter(|&s| model[s])));
+                tree.debug_check();
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_to_whole_leaves_closes_each_leaf_once() {
+        // 128 distinct addresses in a 256-slot space: every compaction
+        // leaves `live` = 128 ≡ 0 (mod 64), two full closed leaves and an
+        // empty open one. A full leaf counted both in the packed tree and
+        // again when the next push closes a leaf would skew every
+        // distance that crosses it.
+        for (engine, backend) in both_backends(128) {
+            assert_eq!(engine.markers.slots(), 256);
+            check_engine_against_replay(engine, &sweep_then_mix(128, 1500, 1), backend);
+        }
+        // Same at a single whole leaf (64 live in 128 slots).
+        for (engine, backend) in both_backends(64) {
+            check_engine_against_replay(engine, &sweep_then_mix(64, 1000, 2), backend);
+        }
+    }
+
+    #[test]
+    fn compaction_to_a_partial_leaf_keeps_it_open() {
+        // 100 distinct addresses in a 256-slot space: `live` = 100 ≢ 0
+        // (mod 64), so compaction leaves leaf 0 closed and leaf 1 open
+        // with 36 markers.
+        for (engine, backend) in both_backends(100) {
+            assert_eq!(engine.markers.slots(), 256);
+            check_engine_against_replay(engine, &sweep_then_mix(100, 1500, 3), backend);
+        }
+    }
+
+    #[test]
+    fn reuse_from_the_leaf_below_the_open_one_is_exact() {
+        // A cyclic sweep with period 65..=127 reuses a marker 65..127
+        // slots back: in the leaf just below the open one (or the one
+        // below that), never in the open leaf itself.
+        for period in [65u64, 80, 127] {
+            let trace: Vec<u64> = (0..20 * period).map(|i| i % period).collect();
+            for (engine, backend) in both_backends(period) {
+                check_engine_against_replay(engine, &trace, backend);
+            }
+        }
+    }
+
+    #[test]
+    fn hashed_slot_doubling_in_the_middle_of_a_leaf_is_exact() {
+        // A 64-slot hashed engine: the first compaction doubles with 64
+        // live (a whole leaf), the next with 100 live (mid-leaf), and the
+        // 300-address phase doubles again from a partial leaf.
+        let mut trace = sweep_then_mix(100, 400, 4);
+        trace.extend(sweep_then_mix(300, 1200, 5));
+        let engine = StackDistance::with_slots(LastIndex::Map(HashMap::new()), 64);
+        assert_eq!(engine.markers.slots(), 64);
+        let mut grown = engine.clone();
+        grown.observe_trace(trace.iter().copied());
+        assert!(
+            grown.markers.slots() >= 512,
+            "slot space must double past 300 live"
+        );
+        check_engine_against_replay(engine, &trace, "hashed");
+    }
+
+    #[test]
+    fn snapshot_restore_cut_in_the_middle_of_a_leaf_is_exact() {
+        // Restore lays the live markers out in slots 0..live; cuts where
+        // `live` is 70, 100 and 150 leave the open leaf partly full. Each
+        // restored run must equal the uninterrupted one, which in turn
+        // must equal an LRU replay at every capacity.
+        let trace = sweep_then_mix(150, 900, 6);
+        for cut in [70, 100, 150, 151, 500, 777] {
+            check_snapshot_cut(&trace, cut, None);
+            check_snapshot_cut(&trace, cut, Some(150));
+        }
+        for (engine, backend) in both_backends(150) {
+            check_engine_against_replay(engine, &trace, backend);
         }
     }
 

@@ -6,7 +6,9 @@
 # BENCH_<n>.json at the repo root, seeding the perf trajectory tracked
 # across PRs.
 #
-# Usage: scripts/bench_smoke.sh [output.json]   (default: BENCH_10.json)
+# Usage: scripts/bench_smoke.sh [output.json]
+#   (default: the next free BENCH_<n>.json — one past the highest n
+#   already at the repo root, so each run extends the trajectory)
 #
 # PR 7 added the checkpoint_overhead/* tier: the resumable replay with
 # checkpoints every 2^24 addresses (the production default) must stay
@@ -33,7 +35,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+last=0
+for f in BENCH_*.json; do
+  k="${f#BENCH_}"
+  k="${k%.json}"
+  if [[ "$k" =~ ^[0-9]+$ ]] && (( 10#$k > last )); then
+    last=$((10#$k))
+  fi
+done
+out="${1:-BENCH_$((last + 1)).json}"
 # Absolute path: cargo bench runs each target with cwd = its package dir.
 jsonl="$(pwd)/target/bench_smoke.jsonl"
 rm -f "$jsonl"
