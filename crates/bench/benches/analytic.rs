@@ -25,6 +25,7 @@ fn sweep_cfg(engine: Engine) -> SweepConfig {
         seed: 1,
         verify: Verify::None,
         engine,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     }
 }
@@ -33,7 +34,7 @@ fn bench_analytic_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("capacity_sweep_matmul_n96");
     g.sample_size(10);
     g.bench_function("engine_analytic", |b| {
-        b.iter(|| capacity_sweep(&MatMul, &sweep_cfg(Engine::Analytic)).expect("covered"));
+        b.iter(|| sweep(&MatMul, &sweep_cfg(Engine::Analytic)).expect("covered"));
     });
     g.finish();
 }
@@ -57,13 +58,13 @@ fn median_of<O>(runs: usize, mut f: impl FnMut() -> O) -> Duration {
 /// the bench-smoke script).
 fn report_speedup() {
     // Warm both paths once so neither median pays the cold start.
-    let _ = capacity_sweep(&MatMul, &sweep_cfg(Engine::StackDist)).expect("traced");
-    let _ = capacity_sweep(&MatMul, &sweep_cfg(Engine::Analytic)).expect("covered");
+    let _ = sweep(&MatMul, &sweep_cfg(Engine::StackDist)).expect("traced");
+    let _ = sweep(&MatMul, &sweep_cfg(Engine::Analytic)).expect("covered");
     let stackdist = median_of(5, || {
-        capacity_sweep(&MatMul, &sweep_cfg(Engine::StackDist)).expect("traced")
+        sweep(&MatMul, &sweep_cfg(Engine::StackDist)).expect("traced")
     });
     let analytic = median_of(101, || {
-        capacity_sweep(&MatMul, &sweep_cfg(Engine::Analytic)).expect("covered")
+        sweep(&MatMul, &sweep_cfg(Engine::Analytic)).expect("covered")
     });
     let speedup = stackdist.as_nanos() / analytic.as_nanos().max(1);
     println!(

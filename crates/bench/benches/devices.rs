@@ -30,6 +30,7 @@ fn sweep_cfg(engine: Engine, model: TrafficModel) -> SweepConfig {
         seed: 1,
         verify: Verify::None,
         engine,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     }
     .with_traffic(model)
@@ -40,19 +41,19 @@ fn bench_line_granular_sweep(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("engine_stackdist_word", |b| {
         b.iter(|| {
-            capacity_sweep(&MatMul, &sweep_cfg(Engine::StackDist, TrafficModel::WORD))
+            sweep(&MatMul, &sweep_cfg(Engine::StackDist, TrafficModel::WORD))
                 .expect("traced")
         });
     });
     g.bench_function("engine_stackdist_line8", |b| {
         b.iter(|| {
-            capacity_sweep(&MatMul, &sweep_cfg(Engine::StackDist, TrafficModel::device(8)))
+            sweep(&MatMul, &sweep_cfg(Engine::StackDist, TrafficModel::device(8)))
                 .expect("traced")
         });
     });
     g.bench_function("engine_replay_line8", |b| {
         b.iter(|| {
-            capacity_sweep(&MatMul, &sweep_cfg(Engine::Replay, TrafficModel::device(8)))
+            sweep(&MatMul, &sweep_cfg(Engine::Replay, TrafficModel::device(8)))
                 .expect("traced")
         });
     });

@@ -45,6 +45,7 @@ fn sweep_cfg(engine: Engine) -> SweepConfig {
         seed: 1,
         verify: Verify::None,
         engine,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     }
 }
@@ -53,20 +54,20 @@ fn bench_capacity_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("capacity_sweep_matmul_n96");
     g.sample_size(10);
     g.bench_function("engine_replay", |b| {
-        b.iter(|| capacity_sweep(&MatMul, &sweep_cfg(Engine::Replay)).expect("traced"));
+        b.iter(|| sweep(&MatMul, &sweep_cfg(Engine::Replay)).expect("traced"));
     });
     g.bench_function("engine_stackdist", |b| {
-        b.iter(|| capacity_sweep(&MatMul, &sweep_cfg(Engine::StackDist)).expect("traced"));
+        b.iter(|| sweep(&MatMul, &sweep_cfg(Engine::StackDist)).expect("traced"));
     });
     g.bench_function("engine_stackdist_par", |b| {
         b.iter(|| {
-            capacity_sweep(&MatMul, &sweep_cfg(Engine::StackDistPar { threads: 0 }))
+            sweep(&MatMul, &sweep_cfg(Engine::StackDistPar { threads: 0 }))
                 .expect("traced")
         });
     });
     g.bench_function("engine_sampled", |b| {
         b.iter(|| {
-            capacity_sweep(&MatMul, &sweep_cfg(Engine::Sampled { shift: 4 })).expect("traced")
+            sweep(&MatMul, &sweep_cfg(Engine::Sampled { shift: 4 })).expect("traced")
         });
     });
     g.finish();

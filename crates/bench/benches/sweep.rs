@@ -1,17 +1,13 @@
-//! Sweep-executor benchmarks: the wall-clock effect of the two measurement
-//! engine optimizations on the matmul intensity sweep at `n = 96`.
+//! Executed-sweep benchmarks: the wall-clock cost of verification on the
+//! matmul intensity sweep at `n = 96`, points fanned out over
+//! `available_parallelism` scoped workers.
 //!
-//! * `serial_full` — the pre-optimization baseline: one point at a time,
-//!   every point recomputing the `O(n³)` reference.
-//! * `serial_freivalds` — verification share removed (`O(n²)` anchored
-//!   Freivalds checks), still serial.
+//! * `parallel_full` — every point recomputing the `O(n³)` reference.
 //! * `parallel_freivalds` — the production configuration: the same points
-//!   fanned out over `available_parallelism` scoped workers.
+//!   with anchored `O(n²)` Freivalds checks.
 //!
-//! On an `c`-core runner the parallel/freivalds configuration improves on
-//! the serial/full baseline by roughly `c × (1 + verify share)`; the three
-//! medians land in `BENCH_2.json` via the bench-smoke script so the ratio
-//! is tracked across PRs.
+//! The medians land in `BENCH_<n>.json` via the bench-smoke script, so the
+//! verification share is tracked across PRs.
 
 use balance_kernels::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -35,31 +31,30 @@ fn bench_sweep_executors(c: &mut Criterion) {
     g.sample_size(10);
     let full = matmul_cfg(Verify::Full);
     let cheap = matmul_cfg(Verify::Freivalds { rounds: 2 });
-    g.bench_function("serial_full", |b| {
-        b.iter(|| intensity_sweep(&MatMul, &full).expect("verified"));
-    });
-    g.bench_function("serial_freivalds", |b| {
-        b.iter(|| intensity_sweep(&MatMul, &cheap).expect("verified"));
+    g.bench_function("parallel_full", |b| {
+        b.iter(|| sweep(&MatMul, &full).expect("verified"));
     });
     g.bench_function("parallel_freivalds", |b| {
-        b.iter(|| intensity_sweep_par(&MatMul, &cheap).expect("verified"));
+        b.iter(|| sweep(&MatMul, &cheap).expect("verified"));
     });
     g.finish();
 }
 
-fn bench_hierarchy_sweep(c: &mut Criterion) {
+fn bench_ladder_sweep(c: &mut Criterion) {
     use balance_core::{LevelSpec, Words, WordsPerSec};
-    let mut g = c.benchmark_group("hierarchy_sweep_matmul_n96");
+    let mut g = c.benchmark_group("ladder_sweep_matmul_n96");
     g.sample_size(10);
-    let cfg = matmul_cfg(Verify::Freivalds { rounds: 2 });
     // The production two-level configuration: every transferred word also
     // walks a 16 K-word L2 model, so this bench prices the per-level
     // accounting against the flat parallel sweep above.
-    let outer = [
-        LevelSpec::new(Words::new(16384), WordsPerSec::new(1.0e7)).expect("valid level"),
-    ];
+    let cfg = SweepConfig {
+        outer: vec![
+            LevelSpec::new(Words::new(16384), WordsPerSec::new(1.0e7)).expect("valid level"),
+        ],
+        ..matmul_cfg(Verify::Freivalds { rounds: 2 })
+    };
     g.bench_function("two_level_parallel", |b| {
-        b.iter(|| hierarchy_sweep_par(&MatMul, &cfg, &outer).expect("verified"));
+        b.iter(|| sweep(&MatMul, &cfg).expect("verified"));
     });
     g.finish();
 }
@@ -89,7 +84,7 @@ fn bench_trace_streaming(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sweep_executors,
-    bench_hierarchy_sweep,
+    bench_ladder_sweep,
     bench_trace_streaming
 );
 criterion_main!(benches);

@@ -178,94 +178,15 @@ pub fn verify_by_name(name: &str) -> Result<Verify, String> {
     })
 }
 
-/// Parses an `--engine` flag value into an [`Engine`], resolving `auto`
-/// for a sweep of `points` memory sizes. The scaled tiers take an
-/// optional `:`-suffixed parameter: `stackdist-par[:K]` runs the exact
-/// segmented parallel engine on `K` threads (default: all cores), and
-/// `sampled[:S]` the SHARDS-style sampled engine at rate `2^-S`
-/// (default `S = 4`, rate 1/16).
+/// Parses an `--engine` spelling ([`Engine::parse`]) and resolves it
+/// ([`Engine::resolve`]) for a cache-model sweep of `points` capacities of
+/// `kernel` at `n` under `model`. The capacities stand in for the sweep's
+/// memories, so each is taken large enough to be eligible.
 ///
 /// # Errors
 ///
-/// Unknown engine names or malformed parameters, with the list of valid
-/// ones.
-pub fn engine_by_name(name: &str, points: usize) -> Result<Engine, String> {
-    let parse_param = |spec: &str, what: &str| -> Result<Option<u64>, String> {
-        match spec.split_once(':') {
-            None => Ok(None),
-            Some((_, raw)) => raw
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| format!("bad {what} '{raw}' in engine '{spec}'")),
-        }
-    };
-    Ok(match name {
-        "replay" => Engine::Replay,
-        "stackdist" => Engine::StackDist,
-        "analytic" => Engine::Analytic,
-        "auto" => Engine::auto(points),
-        spec if spec == "stackdist-par" || spec.starts_with("stackdist-par:") => {
-            let threads = parse_param(spec, "thread count")?;
-            if threads == Some(0) {
-                return Err(format!(
-                    "engine '{spec}': a segmented sweep needs at least one thread \
-                     (omit the suffix to use all cores)"
-                ));
-            }
-            let threads = usize::try_from(threads.unwrap_or(0))
-                .map_err(|_| format!("thread count overflows usize in '{spec}'"))?;
-            Engine::StackDistPar { threads }
-        }
-        spec if spec == "sampled" || spec.starts_with("sampled:") => {
-            let shift = parse_param(spec, "sampling shift")?.unwrap_or(4);
-            let shift = u32::try_from(shift)
-                .ok()
-                .filter(|&s| s <= balance_machine::MAX_SAMPLE_SHIFT)
-                .ok_or_else(|| {
-                    format!(
-                        "sampling shift in '{spec}' exceeds {}",
-                        balance_machine::MAX_SAMPLE_SHIFT
-                    )
-                })?;
-            Engine::Sampled { shift }
-        }
-        other => Err(format!(
-            "unknown engine '{other}' \
-             (try: replay, stackdist, stackdist-par[:K], sampled[:S], analytic, auto)"
-        ))?,
-    })
-}
-
-/// [`engine_by_name`] with the kernel in hand: `auto` resolves through
-/// [`Engine::auto_for_kernel`], so kernels with a derived closed-form
-/// histogram get the zero-replay analytic tier and the rest the
-/// trace-length escalation. Explicit engine names parse unchanged.
-///
-/// # Errors
-///
-/// As [`engine_by_name`].
-pub fn engine_by_name_for(
-    name: &str,
-    points: usize,
-    kernel: &dyn Kernel,
-    n: usize,
-) -> Result<Engine, String> {
-    if name == "auto" {
-        Ok(Engine::auto_for_kernel(points, kernel, n))
-    } else {
-        engine_by_name(name, points)
-    }
-}
-
-/// [`engine_by_name_for`] with the sweep's [`TrafficModel`] in hand:
-/// `auto` resolves through [`Engine::auto_for_model`], so device-real
-/// models land on the tagged engines (never the word-granular analytic /
-/// segmented / sampled tiers). Explicit names parse unchanged — the sweep
-/// itself rejects engine/model combinations it cannot price.
-///
-/// # Errors
-///
-/// As [`engine_by_name`].
+/// Unknown or malformed engine names, and requests the resolver refuses,
+/// as one-line diagnostics.
 pub fn engine_by_name_for_model(
     name: &str,
     points: usize,
@@ -273,10 +194,28 @@ pub fn engine_by_name_for_model(
     n: usize,
     model: TrafficModel,
 ) -> Result<Engine, String> {
-    if name == "auto" {
-        Ok(Engine::auto_for_model(points, kernel, n, model))
-    } else {
-        engine_by_name(name, points)
+    let cfg = SweepConfig {
+        n,
+        memories: vec![usize::MAX >> 1; points],
+        measure: Measure::CacheModel,
+        traffic: model,
+        ..SweepConfig::default()
+    };
+    Engine::resolve(Engine::parse(name)?, kernel, &cfg).map_err(|e| e.to_string())
+}
+
+/// The engine an `--engine` flag asks of a cache-model sweep of `cfg`: a
+/// named engine as is (the sweep runs it through [`Engine::resolve`] and
+/// records the request in its provenance), `auto` or no flag as
+/// [`Engine::resolve`] picks it.
+fn engine_flag(
+    spec: Option<&str>,
+    kernel: &dyn Kernel,
+    cfg: &SweepConfig,
+) -> Result<Engine, String> {
+    match spec.map(Engine::parse).transpose()?.flatten() {
+        Some(engine) => Ok(engine),
+        Option::None => Engine::resolve(Option::None, kernel, cfg).map_err(|e| e.to_string()),
     }
 }
 
@@ -412,24 +351,20 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, String> {
                 .to_string(),
         );
     }
-    let model = line_words.map_or(TrafficModel::WORD, TrafficModel::device);
     let kernel = kernel_by_name(name)?;
-    let mut cfg = SweepConfig::pow2(n, 5, 12, seed)
-        .with_verify(verify)
-        .with_traffic(model);
-    if let Some(budget) = budget {
-        cfg = cfg.with_budget(budget);
-    }
-    if let Some(policy) = checkpoint {
-        cfg = cfg.with_checkpoint(policy);
-    }
+    let mut cfg = SweepConfig {
+        verify,
+        budget,
+        checkpoint,
+        traffic: line_words.map_or(TrafficModel::WORD, TrafficModel::device),
+        ..SweepConfig::pow2(n, 5, 12, seed)
+    };
     let (result, header) = match flags.str_opt("engine") {
         Some(engine) => {
-            let engine =
-                engine_by_name_for_model(engine, cfg.memories.len(), kernel.as_ref(), n, model)?;
-            let result = capacity_sweep_par(kernel.as_ref(), &cfg.clone().with_engine(engine))
-                .map_err(|e| e.to_string())?;
-            let mut header = format!("cache-model capacity sweep ({engine:?} engine)\n");
+            cfg.measure = Measure::CacheModel;
+            cfg.engine = engine_flag(Some(engine), kernel.as_ref(), &cfg)?;
+            let result = sweep(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?;
+            let mut header = format!("cache-model capacity sweep ({:?} engine)\n", cfg.engine);
             if let Some(lw) = line_words {
                 header.push_str(&format!(
                     "traffic model: {lw}-word lines, dirty write-backs ledgered\n"
@@ -441,7 +376,7 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, String> {
             (result, header)
         }
         Option::None => (
-            intensity_sweep_par(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?,
+            sweep(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?,
             String::new(),
         ),
     };
@@ -572,8 +507,7 @@ pub fn parse_line_words(flags: &Flags) -> Result<Option<u64>, String> {
 
 /// `balance hierarchy --levels CAP:BW[:LAT[:LINE[:WBW]]][,...]
 /// [--c <ops/s>] [--kernel <name> [--n <size>] [--line-words <L>]
-/// [--engine replay|stackdist|auto]]`: the balance law per level of a
-/// memory hierarchy.
+/// [--engine ENGINE]]`: the balance law per level of a memory hierarchy.
 ///
 /// Prints each boundary's ridge point, then — for each law in
 /// [`MODEL_NAMES`] — the attainable throughput
@@ -583,13 +517,14 @@ pub fn parse_line_words(flags: &Flags) -> Result<Option<u64>, String> {
 /// With `--kernel` it appends a **measured** section: the kernel's
 /// canonical trace driven through the given ladder (all levels
 /// cache-managed), reporting each boundary's word traffic and measured
-/// per-level intensity. The default `stackdist` engine reads every
-/// boundary off one replay; `replay` runs the actual chained ladder
-/// (bit-identical). A LINE/WBW annotation on any level — or an explicit
-/// `--line-words` — switches the measurement to the device-real model:
-/// line-granular transfers with a dirty-write-back ledger per boundary
-/// (ladders mixing line sizes need the `replay` engine, picked
-/// automatically when no `--engine` is given).
+/// per-level intensity. `stackdist` reads every boundary off one replay;
+/// `replay` runs the actual chained ladder (bit-identical). Without
+/// `--engine` the engine is `auto`'s ([`Engine::resolve`], counting one
+/// capacity read per level). A LINE/WBW annotation on any level — or an
+/// explicit `--line-words` — switches the measurement to the device-real
+/// model: line-granular transfers with a dirty-write-back ledger per
+/// boundary (ladders mixing line sizes need the `replay` engine, which
+/// `auto` picks for them).
 ///
 /// # Errors
 ///
@@ -654,7 +589,7 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
     }
 
     // Optional measured section: the kernel's canonical trace through
-    // this ladder, every boundary read off one replay.
+    // this ladder.
     if let Some(kname) = flags.str_opt("kernel") {
         let kernel = kernel_by_name(kname)?;
         let n = match flags.str_opt("n") {
@@ -672,32 +607,19 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
         } else {
             TrafficModel::WORD
         };
-        // Outer levels without their own LINE annotation inherit the
-        // sweep's line; the one-pass engine needs them all equal.
-        let uniform = spec.levels()[1..]
-            .iter()
-            .all(|l| l.line_words() <= 1 || l.line_words() == model_line);
-        // `auto`'s point count here is the number of capacities read off
-        // the histogram — the ladder depth, not the single sweep point
-        // (a depth-d replay costs ~d LRU updates per address, so shallow
-        // ladders favor the plain replay and deep ones the histogram).
-        let engine = match flags.str_opt("engine") {
-            Some(e) => engine_by_name_for_model(e, spec.depth(), kernel.as_ref(), n, model)?,
-            Option::None if device && !uniform => Engine::Replay,
-            Option::None => Engine::StackDist,
-        };
-        let cfg = SweepConfig {
+        let mut cfg = SweepConfig {
             n,
             memories: vec![spec.local_capacity_words()],
+            outer: spec.levels()[1..].to_vec(),
+            measure: Measure::CacheModel,
             seed: 42,
             verify: Verify::None,
-            engine,
             ..SweepConfig::default()
         }
         .with_traffic(model);
-        let outer: Vec<LevelSpec> = spec.levels()[1..].to_vec();
-        let result = hierarchy_capacity_sweep(kernel.as_ref(), &cfg, &outer)
-            .map_err(|e| e.to_string())?;
+        cfg.engine = engine_flag(flags.str_opt("engine"), kernel.as_ref(), &cfg)?;
+        let engine = cfg.engine;
+        let result = sweep(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?;
         let run = result
             .runs
             .first()
@@ -720,7 +642,7 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
             }
         } else {
             out.push_str(&format!(
-                "\nmeasured ({kname} canonical trace, n = {n}, {engine:?} engine, one replay):\n\
+                "\nmeasured ({kname} canonical trace, n = {n}, {engine:?} engine):\n\
                  {:<6} {:>14} {:>14}\n",
                 "level", "io_i (words)", "r_i (op/word)"
             ));
@@ -931,9 +853,10 @@ USAGE:
       devices — either annotation (or --line-words) switches the measured
       section to the device-real model, with a dirty-write-back ledger
       per boundary. With --kernel, append the measured per-boundary
-      traffic of the kernel's canonical trace through this ladder, read
-      off one stack-distance replay (mixed-line ladders replay the actual
-      chained ladder instead).
+      traffic of the kernel's canonical trace through this ladder, on
+      --engine (default auto: the closed form where the kernel has one,
+      one stack-distance replay for 4+ levels, the actual chained ladder
+      for shallower or mixed-line ladders).
   balance parallel --pes <P> --topology <linear|mesh> [--kernel matmul|transpose|grid2] [--n <size>] [--seed <u64>]
       Run a kernel on a measured P-PE machine (Warp cells) across a per-PE
       memory sweep: external vs communication traffic, the balance verdict
@@ -971,6 +894,13 @@ mod tests {
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| (*x).to_string()).collect()
+    }
+
+    /// An `--engine` spelling resolved for a word-model fft sweep of
+    /// `points` capacities (fft has no closed form, so `auto` follows the
+    /// point count).
+    fn engine(name: &str, points: usize) -> Result<Engine, String> {
+        engine_by_name_for_model(name, points, &Fft, 8, TrafficModel::WORD)
     }
 
     #[test]
@@ -1086,31 +1016,35 @@ mod tests {
 
     #[test]
     fn engine_registry_parses_all_modes() {
-        assert_eq!(engine_by_name("replay", 16).unwrap(), Engine::Replay);
-        assert_eq!(engine_by_name("stackdist", 1).unwrap(), Engine::StackDist);
-        assert_eq!(engine_by_name("auto", 3).unwrap(), Engine::Replay);
-        assert_eq!(engine_by_name("auto", 4).unwrap(), Engine::StackDist);
-        assert!(engine_by_name("onepass", 4).is_err());
+        assert_eq!(engine("replay", 16).unwrap(), Engine::Replay);
+        assert_eq!(engine("stackdist", 1).unwrap(), Engine::StackDist);
+        assert_eq!(engine("auto", 3).unwrap(), Engine::Replay);
+        assert_eq!(engine("auto", 4).unwrap(), Engine::StackDist);
+        assert!(engine("onepass", 4).is_err());
         // The scaled tiers, with and without their parameters.
         assert_eq!(
-            engine_by_name("stackdist-par", 4).unwrap(),
+            engine("stackdist-par", 4).unwrap(),
             Engine::StackDistPar { threads: 0 }
         );
         assert_eq!(
-            engine_by_name("stackdist-par:6", 4).unwrap(),
+            engine("stackdist-par:6", 4).unwrap(),
             Engine::StackDistPar { threads: 6 }
         );
-        assert_eq!(engine_by_name("sampled", 4).unwrap(), Engine::Sampled { shift: 4 });
-        assert_eq!(engine_by_name("sampled:7", 4).unwrap(), Engine::Sampled { shift: 7 });
-        assert_eq!(engine_by_name("sampled:0", 4).unwrap(), Engine::Sampled { shift: 0 });
-        assert!(engine_by_name("stackdist-par:x", 4).is_err());
-        assert!(engine_by_name("sampled:99", 4).is_err(), "shift beyond MAX rejected");
-        assert!(engine_by_name("sampled:-3", 4).is_err());
+        assert_eq!(engine("sampled", 4).unwrap(), Engine::Sampled { shift: 4 });
+        assert_eq!(engine("sampled:7", 4).unwrap(), Engine::Sampled { shift: 7 });
+        assert_eq!(engine("sampled:0", 4).unwrap(), Engine::Sampled { shift: 0 });
+        assert!(engine("stackdist-par:x", 4).is_err());
+        assert!(engine("sampled:99", 4).is_err(), "shift beyond MAX rejected");
+        assert!(engine("sampled:-3", 4).is_err());
         // The zero-replay tier parses, takes no parameter, and is listed
         // in the unknown-engine diagnostic.
-        assert_eq!(engine_by_name("analytic", 4).unwrap(), Engine::Analytic);
-        assert!(engine_by_name("analytic:2", 4).is_err());
-        let err = engine_by_name("nope", 4).unwrap_err();
+        assert_eq!(
+            engine_by_name_for_model("analytic", 4, &MatMul, 8, TrafficModel::WORD).unwrap(),
+            Engine::Analytic
+        );
+        assert!(engine("analytic", 4).unwrap_err().contains("no analytic profile"));
+        assert!(engine("analytic:2", 4).is_err());
+        let err = engine("nope", 4).unwrap_err();
         assert!(err.contains("analytic"), "{err}");
     }
 
@@ -1119,19 +1053,19 @@ mod tests {
         // With the kernel in hand, auto grows the analytic tier for
         // kernels that derive a histogram, and falls back for the rest.
         assert_eq!(
-            engine_by_name_for("auto", 16, &MatMul, 8).unwrap(),
+            engine_by_name_for_model("auto", 16, &MatMul, 8, TrafficModel::WORD).unwrap(),
             Engine::Analytic
         );
         assert_eq!(
-            engine_by_name_for("auto", 16, &balance_kernels::fft::Fft, 8).unwrap(),
+            engine_by_name_for_model("auto", 16, &Fft, 8, TrafficModel::WORD).unwrap(),
             Engine::StackDist
         );
-        // Explicit names bypass the kernel entirely.
+        // An explicit engine the tier can serve comes back as asked.
         assert_eq!(
-            engine_by_name_for("replay", 16, &MatMul, 8).unwrap(),
+            engine_by_name_for_model("replay", 16, &MatMul, 8, TrafficModel::WORD).unwrap(),
             Engine::Replay
         );
-        assert!(engine_by_name_for("bogus", 16, &MatMul, 8).is_err());
+        assert!(engine_by_name_for_model("bogus", 16, &MatMul, 8, TrafficModel::WORD).is_err());
     }
 
     #[test]
@@ -1179,16 +1113,16 @@ mod tests {
 
     #[test]
     fn engine_registry_rejects_malformed_specs_with_one_line_diagnostics() {
-        let err = engine_by_name("sampled:banana", 4).unwrap_err();
+        let err = engine("sampled:banana", 4).unwrap_err();
         assert!(err.contains("banana"), "{err}");
         assert!(!err.contains('\n'), "diagnostic must be one line: {err:?}");
         // An explicit zero thread count is malformed; bare stackdist-par
         // still means "all cores".
-        let err = engine_by_name("stackdist-par:0", 4).unwrap_err();
+        let err = engine("stackdist-par:0", 4).unwrap_err();
         assert!(err.contains("at least one thread"), "{err}");
         assert!(!err.contains('\n'), "diagnostic must be one line: {err:?}");
         assert_eq!(
-            engine_by_name("stackdist-par", 4).unwrap(),
+            engine("stackdist-par", 4).unwrap(),
             Engine::StackDistPar { threads: 0 }
         );
     }
@@ -1295,19 +1229,25 @@ mod tests {
     #[test]
     fn hierarchy_command_appends_measured_section_per_engine() {
         let base = &["--levels", "100:1e7,10000:1e6", "--kernel", "matmul", "--n", "16"];
-        let onepass = cmd_hierarchy(&Flags::parse(&args(base)).unwrap()).unwrap();
+        let run = |engine: &str| {
+            let flags = Flags::parse(&args(&[base, &["--engine", engine][..]].concat())).unwrap();
+            cmd_hierarchy(&flags).unwrap()
+        };
+        let onepass = run("stackdist");
         assert!(onepass.contains("measured (matmul canonical trace"), "{onepass}");
         assert!(onepass.contains("io_i (words)"), "{onepass}");
-        // The replay engine renders the same measured numbers.
-        let replay = cmd_hierarchy(
-            &Flags::parse(&args(&[base, &["--engine", "replay"][..]].concat())).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            onepass.replace("StackDist", "Replay"),
-            replay,
-            "engines must agree on every measured number"
-        );
+        // The replay engine renders the same measured numbers, and so does
+        // the default (auto: matmul's closed form).
+        for (name, debug) in [("replay", "Replay"), ("analytic", "Analytic")] {
+            assert_eq!(
+                onepass.replace("StackDist", debug),
+                run(name),
+                "engines must agree on every measured number"
+            );
+        }
+        let default = cmd_hierarchy(&Flags::parse(&args(base)).unwrap()).unwrap();
+        assert_eq!(default, run("auto"));
+        assert!(default.contains("Analytic engine"), "{default}");
         // Without --kernel there is no measured section.
         let plain = cmd_hierarchy(
             &Flags::parse(&args(&["--levels", "100:1e7,10000:1e6"])).unwrap(),
@@ -1588,13 +1528,17 @@ mod tests {
         .unwrap();
         assert!(mixed.contains("wb_i (words)"), "{mixed}");
         assert!(mixed.contains("Replay"), "{mixed}");
-        // A uniform line (the flag covers the local level too) keeps the
-        // one-pass engine, bit-identical to the explicit replay run.
+        // A uniform line (the flag covers the local level too) admits the
+        // one-pass engine, bit-identical to the explicit replay run (which
+        // `auto` picks for this two-capacity ladder).
         let base = &[
             "--levels", "128:1e7,16384:1e6:0:8", "--kernel", "matmul", "--n", "16",
             "--line-words", "8",
         ];
-        let onepass = cmd_hierarchy(&Flags::parse(&args(base)).unwrap()).unwrap();
+        let onepass = cmd_hierarchy(
+            &Flags::parse(&args(&[base, &["--engine", "stackdist"][..]].concat())).unwrap(),
+        )
+        .unwrap();
         assert!(onepass.contains("StackDist"), "{onepass}");
         assert!(onepass.contains("8-word lines"), "{onepass}");
         let replay = cmd_hierarchy(
@@ -1602,6 +1546,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(onepass.replace("StackDist", "Replay"), replay);
+        let default = cmd_hierarchy(&Flags::parse(&args(base)).unwrap()).unwrap();
+        assert_eq!(default, replay);
         // The write-back ledger is live: matmul's C accumulation dirties
         // lines, so some boundary records write-backs. (The measured rows
         // are `L<i> read wb r`; the analytic rows above fail the u64
@@ -1612,6 +1558,45 @@ mod tests {
             .filter_map(|l| l.split_whitespace().nth(2)?.parse::<u64>().ok())
             .any(|wb| wb > 0);
         assert!(some_wb, "{onepass}");
+    }
+
+    #[test]
+    fn hierarchy_auto_measures_mixed_line_ladders() {
+        // A four-level ladder mixing 4- and 8-word lines: the one-pass
+        // read is unsound, so `auto` must land on the replay engine even
+        // though four capacity reads would amortize a histogram.
+        let base = &[
+            "--levels",
+            "64:1e9:0:4,256:1e8:0:8,1024:1e7:0:8,4096:1e6:0:8",
+            "--kernel",
+            "matmul",
+            "--n",
+            "16",
+        ];
+        let run = |engine: &str| {
+            cmd_hierarchy(
+                &Flags::parse(&args(&[base, &["--engine", engine][..]].concat())).unwrap(),
+            )
+        };
+        let auto = run("auto").unwrap();
+        assert_eq!(auto, run("replay").unwrap());
+        assert!(run("stackdist").unwrap_err().contains("uniform line size"));
+        let measured: Vec<&str> = auto.lines().filter(|l| l.starts_with('L')).skip(4).collect();
+        assert_eq!(measured.len(), 4, "{auto}");
+    }
+
+    #[test]
+    fn sweep_auto_never_picks_an_engine_the_sweep_refuses() {
+        for kernel in [
+            "matmul", "lu", "grid2", "grid3", "fft", "sort", "matvec", "trisolve",
+        ] {
+            for line_words in [None, Some("8")] {
+                let mut flags = vec!["--kernel", kernel, "--n", "8", "--engine", "auto"];
+                flags.extend(line_words.iter().flat_map(|lw| ["--line-words", *lw]));
+                let out = cmd_sweep(&Flags::parse(&args(&flags)).unwrap());
+                assert!(out.is_ok(), "{kernel} line words {line_words:?}: {out:?}");
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub fn e13_lru_ablation_at(scale: Scale) -> Report {
 
     // One verified blocked run per memory size. par_map keeps the rows in
     // sweep order; the first point is the fully-verified anchor (as in
-    // intensity_sweep), the rest use the size-appropriate policy.
+    // an executed sweep), the rest use the size-appropriate policy.
     let rows: Vec<(usize, f64, f64)> = par_map(&memories, |i, &m| {
         let misses = profile.misses_at(m as u64);
         let lru_intensity = ops as f64 / misses as f64;

@@ -25,7 +25,7 @@ use std::time::Instant;
 use balance_kernels::grid::GridRelaxation;
 use balance_kernels::matmul::MatMul;
 use balance_kernels::sorting::ExternalSort;
-use balance_kernels::sweep::{capacity_sweep, Engine, SweepConfig};
+use balance_kernels::sweep::{sweep, Engine, Measure, SweepConfig};
 use balance_kernels::{all_kernels, extension_kernels, Kernel, Verify};
 
 use crate::report::{Finding, Report};
@@ -39,6 +39,7 @@ fn cfg_16pt(n: usize, lo: u32, engine: Engine) -> SweepConfig {
         seed: 0,
         verify: Verify::None,
         engine,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     }
 }
@@ -91,9 +92,9 @@ pub fn e25_analytic() -> Report {
         (&ExternalSort, 4096, 2),
     ];
     for (kernel, n, lo) in anchors {
-        let analytic = capacity_sweep(kernel, &cfg_16pt(n, lo, Engine::Analytic))
+        let analytic = sweep(kernel, &cfg_16pt(n, lo, Engine::Analytic))
             .unwrap_or_else(|e| panic!("covered kernel: {e}"));
-        let onepass = capacity_sweep(kernel, &cfg_16pt(n, lo, Engine::StackDist))
+        let onepass = sweep(kernel, &cfg_16pt(n, lo, Engine::StackDist))
             .unwrap_or_else(|e| panic!("traced kernel: {e}"));
         findings.push(Finding::new(
             format!("{} n={}: analytic ≡ stackdist, all 16 points", kernel.name(), n),
@@ -110,7 +111,7 @@ pub fn e25_analytic() -> Report {
     let n = 10_000usize;
     let n64 = n as u64;
     let start = Instant::now();
-    let big = capacity_sweep(&MatMul, &cfg_16pt(n, 12, Engine::Analytic))
+    let big = sweep(&MatMul, &cfg_16pt(n, 12, Engine::Analytic))
         .unwrap_or_else(|e| panic!("covered kernel: {e}"));
     let elapsed = start.elapsed();
     let trace_len = 3 * n64.pow(3);

@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use balance_kernels::matmul::MatMul;
-use balance_kernels::sweep::{capacity_sweep, Engine, SweepConfig, SweepResult};
+use balance_kernels::sweep::{self, Engine, Measure, SweepConfig, SweepResult};
 use balance_kernels::Verify;
 use balance_machine::{CheckpointPolicy, DEFAULT_CHECKPOINT_EVERY};
 
@@ -72,6 +72,7 @@ fn sweep(n: usize, engine: Engine) -> SweepResult {
         seed: 0,
         verify: Verify::Full,
         engine,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     };
     // Only the exact passes checkpoint: the sampled pass is cheap to
@@ -79,7 +80,7 @@ fn sweep(n: usize, engine: Engine) -> SweepResult {
     if !matches!(engine, Engine::Sampled { .. }) {
         cfg.checkpoint = env_checkpoint();
     }
-    capacity_sweep(&MatMul, &cfg).unwrap_or_else(|e| panic!("matmul has a canonical trace: {e}"))
+    sweep::sweep(&MatMul, &cfg).unwrap_or_else(|e| panic!("matmul has a canonical trace: {e}"))
 }
 
 /// Appends one `"name": value` member line to the `BENCH_JSON` file when

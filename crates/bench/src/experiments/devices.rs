@@ -25,7 +25,7 @@ use balance_core::{LevelSpec, Words, WordsPerSec};
 use balance_kernels::matmul::{BlockedTrace, MatMul, NaiveTrace};
 use balance_kernels::sorting::ExternalSort;
 use balance_kernels::sweep::{
-    capacity_sweep, hierarchy_capacity_sweep, Engine, SweepConfig, TrafficModel,
+    sweep, Engine, Measure, SweepConfig, TrafficModel,
 };
 use balance_kernels::Verify;
 use balance_machine::StackDistance;
@@ -43,6 +43,7 @@ fn cfg(n: usize, memories: Vec<usize>, engine: Engine, model: TrafficModel) -> S
         seed: 0,
         verify: Verify::None,
         engine,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     }
     .with_traffic(model)
@@ -80,9 +81,9 @@ pub fn e26_devices() -> Report {
     let n = 32usize;
     let memories: Vec<usize> = (3..=14u32).map(|k| 1usize << k).collect(); // 12 points
     let device = TrafficModel::device(LINE);
-    let onepass = capacity_sweep(&MatMul, &cfg(n, memories.clone(), Engine::StackDist, device))
+    let onepass = sweep(&MatMul, &cfg(n, memories.clone(), Engine::StackDist, device))
         .unwrap_or_else(|e| panic!("traced: {e}"));
-    let replay = capacity_sweep(&MatMul, &cfg(n, memories.clone(), Engine::Replay, device))
+    let replay = sweep(&MatMul, &cfg(n, memories.clone(), Engine::Replay, device))
         .unwrap_or_else(|e| panic!("traced: {e}"));
 
     let mut body = format!(
@@ -133,12 +134,12 @@ pub fn e26_devices() -> Report {
     ));
 
     // --- Safety net: the word-granular curve is the line_words = 1 corner. ---
-    let word = capacity_sweep(
+    let word = sweep(
         &MatMul,
         &cfg(n, memories.clone(), Engine::StackDist, TrafficModel::WORD),
     )
     .unwrap_or_else(|e| panic!("traced: {e}"));
-    let unit = capacity_sweep(
+    let unit = sweep(
         &MatMul,
         &cfg(n, memories, Engine::StackDist, TrafficModel::device(1)),
     )
@@ -201,20 +202,18 @@ pub fn e26_devices() -> Report {
         .and_then(|l| l.with_line_words(block))
         .and_then(|l| l.with_write_bandwidth(WordsPerSec::new(2.5e5)))
         .unwrap_or_else(|e| panic!("valid disk level: {e}"));
-    let sort_cfg = cfg(
-        sort_n,
-        vec![64, 256, 1024],
-        Engine::Replay,
-        TrafficModel::device(block),
-    );
-    let sorted = hierarchy_capacity_sweep(&ExternalSort, &sort_cfg, &[disk])
+    let sort_cfg = SweepConfig {
+        outer: vec![disk],
+        ..cfg(
+            sort_n,
+            vec![64, 256, 1024],
+            Engine::Replay,
+            TrafficModel::device(block),
+        )
+    };
+    let sorted = sweep(&ExternalSort, &sort_cfg).unwrap_or_else(|e| panic!("traced: {e}"));
+    let sorted_onepass = sweep(&ExternalSort, &sort_cfg.clone().with_engine(Engine::StackDist))
         .unwrap_or_else(|e| panic!("traced: {e}"));
-    let sorted_onepass = hierarchy_capacity_sweep(
-        &ExternalSort,
-        &sort_cfg.clone().with_engine(Engine::StackDist),
-        &[disk],
-    )
-    .unwrap_or_else(|e| panic!("traced: {e}"));
     body.push_str(&format!(
         "\nexternal sort n = {sort_n} under a disk-class level \
          ({block}-word blocks, split write channel):\n\

@@ -42,7 +42,7 @@ pub fn e14_extension_kernels() -> Report {
             "transpose" => SweepConfig::pow2(64, 6, 13, SEED),
             _ => SweepConfig::pow2(400, 8, 18, SEED),
         };
-        let result = intensity_sweep(kernel.as_ref(), &cfg)
+        let result = sweep(kernel.as_ref(), &cfg)
             .unwrap_or_else(|e| panic!("{} failed: {e}", kernel.name()));
         let fit = result.fit().unwrap_or_else(|e| panic!("enough points: {e}"));
         body.push_str(&format!(

@@ -20,7 +20,7 @@
 //!   outermost boundary reduced to the compulsory minimum.
 
 use balance_core::{HierarchySpec, LevelSpec, OpsPerSec, Words, WordsPerSec};
-use balance_kernels::sweep::{hierarchy_sweep_par, Engine, SweepConfig};
+use balance_kernels::sweep::{self, Engine, SweepConfig};
 use balance_kernels::{Kernel, KernelRun, Verify};
 use balance_roofline::HierarchicalRoofline;
 
@@ -76,9 +76,10 @@ fn sweep(
         seed: 20,
         verify: Verify::Full,
         engine: Engine::Replay,
+        outer: outer_levels(outer),
         ..SweepConfig::default()
     };
-    let result = hierarchy_sweep_par(kernel, &cfg, &outer_levels(outer)).unwrap_or_else(|e| panic!("verified sweep: {e}"));
+    let result = sweep::sweep(kernel, &cfg).unwrap_or_else(|e| panic!("verified sweep: {e}"));
     let bindings = result
         .runs
         .iter()

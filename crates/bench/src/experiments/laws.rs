@@ -35,9 +35,10 @@ fn law_name(law: GrowthLaw) -> String {
 }
 
 fn sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> SweepResult {
-    // All law sweeps run on the parallel executor (bit-identical to the
-    // serial one) under the config's own verification policy.
-    intensity_sweep_par(kernel, cfg)
+    // Every law sweep executes the scheme, fanned out over the cores
+    // (bit-identical to a serial loop), under the config's own
+    // verification policy.
+    balance_kernels::sweep::sweep(kernel, cfg)
         .unwrap_or_else(|e| panic!("kernel {} failed its verified sweep: {e}", kernel.name()))
 }
 

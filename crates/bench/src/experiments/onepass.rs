@@ -25,7 +25,7 @@ use balance_kernels::fft::Fft;
 use balance_kernels::matmul::MatMul;
 use balance_kernels::sorting::ExternalSort;
 use balance_kernels::sweep::{
-    capacity_sweep, hierarchy_capacity_sweep, Engine, SweepConfig, SweepResult,
+    sweep, Engine, Measure, SweepConfig, SweepResult,
 };
 use balance_kernels::{Kernel, Verify};
 
@@ -50,9 +50,10 @@ fn sweep_16pt(kernel: &dyn Kernel, n: usize, floor: u64) -> Curve {
         seed: 0,
         verify: Verify::Full,
         engine: Engine::StackDist,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     };
-    let onepass = capacity_sweep(kernel, &cfg).unwrap_or_else(|e| panic!("traced kernel: {e}"));
+    let onepass = sweep(kernel, &cfg).unwrap_or_else(|e| panic!("traced kernel: {e}"));
     // Three anchors re-measured on the per-capacity replay engine.
     let anchor_cfg = SweepConfig {
         n,
@@ -60,9 +61,10 @@ fn sweep_16pt(kernel: &dyn Kernel, n: usize, floor: u64) -> Curve {
         seed: 0,
         verify: Verify::Full,
         engine: Engine::Replay,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     };
-    let anchors = capacity_sweep(kernel, &anchor_cfg).unwrap_or_else(|e| panic!("traced kernel: {e}"));
+    let anchors = sweep(kernel, &anchor_cfg).unwrap_or_else(|e| panic!("traced kernel: {e}"));
     Curve {
         name: kernel.name(),
         onepass,
@@ -149,17 +151,15 @@ pub fn e22_onepass() -> Report {
     let ladder_cfg = SweepConfig {
         n: mm_n,
         memories: vec![16, 64, 256],
+        outer: outer.to_vec(),
         seed: 0,
         verify: Verify::Full,
         engine: Engine::StackDist,
+        measure: Measure::CacheModel,
         ..SweepConfig::default()
     };
-    let ladder = hierarchy_capacity_sweep(&MatMul, &ladder_cfg, &outer).unwrap_or_else(|e| panic!("traced: {e}"));
-    let ladder_replay = hierarchy_capacity_sweep(
-        &MatMul,
-        &ladder_cfg.clone().with_engine(Engine::Replay),
-        &outer,
-    )
+    let ladder = sweep(&MatMul, &ladder_cfg).unwrap_or_else(|e| panic!("traced: {e}"));
+    let ladder_replay = sweep(&MatMul, &ladder_cfg.clone().with_engine(Engine::Replay))
     .unwrap_or_else(|e| panic!("traced: {e}"));
     body.push_str("\nmatmul 3-level ladder (M1 swept under 1024- and 4096-word levels):\n");
     for run in &ladder.runs {

@@ -18,8 +18,11 @@
 //! paper's decomposition scheme on the counting PE simulator from
 //! `balance-machine`, **verifies its numeric output** against a plain
 //! reference implementation, and reports measured `(C_comp, C_io)`.
-//! [`sweep::intensity_sweep`] turns kernels into measured `r(M)` curves for
-//! the experiments.
+//! [`sweep::sweep`] turns kernels into measured `r(M)` curves for the
+//! experiments: by executing the scheme at every memory size
+//! ([`sweep::Measure::Execute`]) or by reading the kernel's canonical trace
+//! through an LRU of each capacity ([`sweep::Measure::CacheModel`]) on the
+//! engine [`sweep::Engine::resolve`] settles.
 //!
 //! ## Example: measure matmul's √M law
 //!
@@ -28,7 +31,7 @@
 //! use balance_core::fit::FittedLaw;
 //!
 //! let cfg = SweepConfig::pow2(32, 5, 9, 1); // N=32, M = 32..512
-//! let result = intensity_sweep(&MatMul, &cfg)?;
+//! let result = sweep(&MatMul, &cfg)?;
 //! match result.fit()?.best {
 //!     FittedLaw::Power { exponent, .. } => assert!((exponent - 0.5).abs() < 0.2),
 //!     other => panic!("expected a power law, got {other}"),
@@ -80,10 +83,8 @@ pub mod prelude {
     };
     pub use crate::sorting::ExternalSort;
     pub use crate::sweep::{
-        capacity_sweep, capacity_sweep_par, engine_spec, hierarchy_capacity_sweep,
-        hierarchy_capacity_sweep_par, hierarchy_sweep, hierarchy_sweep_par, intensity_sweep,
-        intensity_sweep_par, par_map, robust_capacity_profile, DegradationStep, Engine,
-        Provenance, SweepConfig, SweepResult, TrafficModel,
+        capacity_sweep_par, engine_spec, par_map, robust_capacity_profile, sweep,
+        DegradationStep, Engine, Measure, Provenance, SweepConfig, SweepResult, TrafficModel,
     };
     pub use crate::trace::AccessTrace;
     pub use crate::traits::{all_kernels, extension_kernels, Kernel, KernelRun};

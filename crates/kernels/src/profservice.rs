@@ -12,7 +12,8 @@
 //!    reuse-distance histogram this is free *and* exact, so a miss or a
 //!    quarantined entry costs microseconds to heal;
 //! 3. **budgeted stack-distance recompute** — kernels without a closed
-//!    form replay their canonical trace through
+//!    form replay their canonical trace (on the one-pass engine `auto`
+//!    resolves to, segmented past `AUTO_SEGMENT_LEN` addresses) through
 //!    [`robust_capacity_profile`], whose own budget ladder degrades
 //!    exact → sampled rather than hanging (PR 7 semantics);
 //!
@@ -224,7 +225,8 @@ impl<'a> ProfileService<'a> {
         })
     }
 
-    /// The repair ladder, without touching the store: analytic when the
+    /// The repair ladder, without touching the store: the whole curve on
+    /// the engine [`Engine::resolve`] picks for `auto` — analytic when the
     /// kernel derives a closed form (free, exact), else a budgeted
     /// stack-distance replay whose own ladder degrades to sampled; the
     /// device-real dual ledger always comes from one exact tagged pass.
@@ -270,18 +272,14 @@ impl<'a> ProfileService<'a> {
                 ),
             });
         }
-        let engine = if kernel.analytic_profile(n).is_some() {
-            Engine::Analytic
-        } else {
-            Engine::StackDist
-        };
         let cfg = SweepConfig {
             n,
-            engine,
             budget: self.budget,
             ..SweepConfig::default()
         };
-        let (profile, provenance) = robust_capacity_profile(kernel, &cfg, &FaultPlan::none())?;
+        let engine = Engine::resolve(None, kernel, &cfg)?;
+        let (profile, provenance) =
+            robust_capacity_profile(kernel, &cfg.with_engine(engine), &FaultPlan::none())?;
         let meta = ProfileMeta {
             kernel: kernel.name().to_string(),
             n: n as u64,

@@ -1,40 +1,39 @@
-//! Memory sweeps: measure `r(M)` curves from real kernel runs.
+//! Memory sweeps: measure `r(M)` curves.
 //!
 //! This is the measurement half of every experiment: run a kernel at a fixed
 //! problem size across a range of memory sizes, collect the measured
 //! `(M, C_comp/C_io)` points, and hand them to `balance-core`'s fitting and
 //! curve-inversion machinery.
 //!
-//! Two executors produce **bit-identical** results:
+//! There is one entry point, [`sweep`], and one [`SweepConfig`] that says
+//! what it measures ([`SweepConfig::measure`]):
 //!
-//! * [`intensity_sweep`] — one point after another on the calling thread;
-//! * [`intensity_sweep_par`] — the same points fanned out over
-//!   `std::thread::available_parallelism` scoped workers. Every run is
-//!   independent (kernels take `&self` and own their `Pe`/`ExternalStore`),
-//!   workloads and verification probes are seeded per run, and points are
-//!   re-sorted into sweep order before they are returned.
+//! * [`Measure::Execute`] runs the kernel's decomposition scheme at every
+//!   memory size (the paper's §3 measurement). Verification cost is a knob
+//!   ([`SweepConfig::verify`]): `Full` recomputes the `O(n³)` reference at
+//!   every point, [`Verify::Freivalds`] downgrades all but the first
+//!   eligible point (the *anchor*, which stays fully verified) to `O(n²)`
+//!   randomized checks, and `Verify::None` is for timing studies only.
+//! * [`Measure::CacheModel`] measures the kernel's canonical trace
+//!   ([`Kernel::access_trace`]) through an automatically managed LRU of
+//!   each capacity, on the engine [`SweepConfig::engine`] names. LRU is a
+//!   stack algorithm, so the whole curve is a pure function of one
+//!   reuse-distance histogram: [`Engine::StackDist`] replays the trace
+//!   **once** and reads every `M` off it, where [`Engine::Replay`] replays
+//!   once per memory size. The engines are bit-identical across the kernel
+//!   registry (pinned by property test).
 //!
-//! Verification cost is a knob ([`SweepConfig::verify`]): `Full` recomputes
-//! the `O(n³)` reference at every point, [`Verify::Freivalds`] downgrades
-//! all but the first eligible point (the *anchor*, which stays fully
-//! verified) to `O(n²)` randomized checks, and `Verify::None` is for timing
-//! studies only.
+//! [`SweepConfig::outer`] puts fixed outer levels under the swept local
+//! memory; every run then carries one traffic entry per boundary.
 //!
-//! ## One-pass capacity sweeps
+//! Per-point work (every `Execute` point and every `Replay` point) fans out
+//! over [`par_map`]. Runs are independent (kernels take `&self` and own
+//! their `Pe`/`ExternalStore`) and seeded per point, and points come back in
+//! sweep order, so the result is bit-identical to a serial loop.
 //!
-//! [`capacity_sweep`] is the third executor family: it measures the
-//! **cache-model** curve — the kernel's canonical trace
-//! ([`Kernel::access_trace`]) replayed through an automatically managed
-//! LRU of capacity `M` — instead of running the explicit decomposition
-//! scheme per point. Because LRU is a stack algorithm, the whole curve is
-//! a pure function of one reuse-distance histogram, so the
-//! [`Engine::StackDist`] engine replays the trace **once** and reads every
-//! `M` off the histogram in O(1), where [`Engine::Replay`] replays once
-//! per memory size. The two engines are bit-identical across the kernel
-//! registry (pinned by property test); [`Engine::auto`] picks stack
-//! distance once a sweep has ≥ 4 points, where the single replay
-//! amortizes. [`hierarchy_capacity_sweep`] is the multi-level read: every
-//! ladder boundary's traffic from the same histogram.
+//! [`Engine::resolve`] is the one place that knows what each engine tier
+//! can do, and it resolves `auto`. [`sweep`] runs every requested engine
+//! through it, and so do the `balance` CLI and the profile service.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -47,8 +46,8 @@ use balance_core::{
 };
 use balance_machine::{
     resumable_replay, sampled_profile_of, sampled_profile_of_bounded, segmented_profile_of,
-    segmented_profile_resumable, CapacityProfile, CheckpointPolicy, FaultPlan, Hierarchy,
-    LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance,
+    segmented_profile_resumable, AnalyticProfile, CapacityProfile, CheckpointPolicy, FaultPlan,
+    Hierarchy, LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance,
     StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
 };
 
@@ -57,7 +56,7 @@ use crate::trace::AccessTrace;
 use crate::traits::{Kernel, KernelRun};
 use crate::verify::Verify;
 
-/// Which measurement engine a capacity sweep runs on.
+/// Which measurement engine a cache-model sweep runs on.
 ///
 /// The first three engines produce **bit-identical** [`DataPoint`]s
 /// (pinned by property test across the kernel registry); they differ
@@ -96,79 +95,160 @@ pub enum Engine {
     /// against the one-pass engines at every capacity (registry-pinned by
     /// proptest) and `O(poly(log n))` in the trace length — curves at
     /// sizes no replay could touch. Only kernels that derive a histogram
-    /// support it; the rest fail with `BadParameters` (and are never
-    /// auto-selected into this tier — see [`Engine::auto_for_kernel`]).
+    /// support it ([`Engine::resolve`] refuses the rest).
     Analytic,
 }
 
-/// Trace length beyond which [`Engine::auto_for`] escalates from the
-/// serial one-pass engine to the segmented parallel one (2²⁷ ≈ 134M
-/// addresses — roughly a second of serial histogram work).
+/// Trace length from which `auto` escalates from the serial one-pass
+/// engine to the segmented parallel one (2²⁷ ≈ 134M addresses — roughly
+/// a second of serial histogram work).
 pub const AUTO_SEGMENT_LEN: u64 = 1 << 27;
 
 impl Engine {
-    /// The recommended engine for a sweep of `points` memory sizes: the
-    /// one-pass engine as soon as it amortizes (≥ 4 points), the plain
-    /// replay below that.
-    #[must_use]
-    pub fn auto(points: usize) -> Engine {
-        if points >= 4 {
-            Engine::StackDist
-        } else {
-            Engine::Replay
-        }
-    }
-
-    /// [`Engine::auto`] with the trace length in hand: escalates to the
-    /// segmented parallel engine ([`Engine::StackDistPar`], auto thread
-    /// count) past [`AUTO_SEGMENT_LEN`] addresses. Sampling is never
-    /// chosen automatically — trading exactness is the caller's call.
-    #[must_use]
-    pub fn auto_for(points: usize, trace_len: u64) -> Engine {
-        if points >= 4 && trace_len >= AUTO_SEGMENT_LEN {
-            Engine::StackDistPar { threads: 0 }
-        } else {
-            Engine::auto(points)
-        }
-    }
-
-    /// [`Engine::auto_for`] with the kernel in hand: the zero-replay
-    /// [`Engine::Analytic`] tier whenever the kernel derives a histogram
-    /// at this `n` (exactness is contractual, so there is nothing to
-    /// trade), otherwise the trace-length escalation of
-    /// [`Engine::auto_for`].
-    #[must_use]
-    pub fn auto_for_kernel(points: usize, kernel: &dyn Kernel, n: usize) -> Engine {
-        if kernel.analytic_profile(n).is_some() {
-            Engine::Analytic
-        } else {
-            match kernel.access_trace(n) {
-                Some(trace) => Engine::auto_for(points, trace.len()),
-                None => Engine::auto(points),
+    /// Parses an engine's CLI spelling — the inverse of [`engine_spec`] —
+    /// with `auto` as `None`, the request [`Engine::resolve`] chooses for.
+    /// The scaled tiers take an optional `:`-suffixed parameter:
+    /// `stackdist-par[:K]` runs on `K ≥ 1` threads (default: all cores)
+    /// and `sampled[:S]` samples at rate `2^-S` (default `S = 4`).
+    ///
+    /// # Errors
+    ///
+    /// One-line diagnostics for unknown names and malformed parameters.
+    pub fn parse(spec: &str) -> Result<Option<Engine>, String> {
+        let param = |what: &str| -> Result<Option<u64>, String> {
+            match spec.split_once(':') {
+                None => Ok(None),
+                Some((_, raw)) => raw
+                    .parse::<u64>()
+                    .map(Some)
+                    .map_err(|_| format!("bad {what} '{raw}' in engine '{spec}'")),
             }
-        }
+        };
+        Ok(Some(match spec {
+            "auto" => return Ok(None),
+            "replay" => Engine::Replay,
+            "stackdist" => Engine::StackDist,
+            "analytic" => Engine::Analytic,
+            _ if spec == "stackdist-par" || spec.starts_with("stackdist-par:") => {
+                let threads = param("thread count")?;
+                if threads == Some(0) {
+                    return Err(format!(
+                        "engine '{spec}': a segmented sweep needs at least one thread \
+                         (omit the suffix to use all cores)"
+                    ));
+                }
+                let threads = usize::try_from(threads.unwrap_or(0))
+                    .map_err(|_| format!("thread count overflows usize in '{spec}'"))?;
+                Engine::StackDistPar { threads }
+            }
+            _ if spec == "sampled" || spec.starts_with("sampled:") => {
+                let shift = u32::try_from(param("sampling shift")?.unwrap_or(4))
+                    .ok()
+                    .filter(|&s| s <= MAX_SAMPLE_SHIFT)
+                    .ok_or_else(|| {
+                        format!("sampling shift in '{spec}' exceeds {MAX_SAMPLE_SHIFT}")
+                    })?;
+                Engine::Sampled { shift }
+            }
+            _ => {
+                return Err(format!(
+                    "unknown engine '{spec}' \
+                     (try: replay, stackdist, stackdist-par[:K], sampled[:S], analytic, auto)"
+                ))
+            }
+        }))
     }
 
-    /// [`Engine::auto_for_kernel`] with the traffic model in hand. Under
-    /// the word-granular read-priced model it is exactly
-    /// [`Engine::auto_for_kernel`]; under a device-real model the
-    /// closed-form, segmented, and sampled tiers are all word-granular
-    /// machinery and are never chosen — the one-pass tagged engine is the
-    /// fast exact tier (on the same ≥ 4-point amortization threshold as
-    /// [`Engine::auto`]), the per-point replay below that.
-    #[must_use]
-    pub fn auto_for_model(
-        points: usize,
+    /// The engine a cache-model sweep of `cfg` runs when `requested` is
+    /// asked for (`None` = `auto`). This is the only code that knows what
+    /// each tier can do:
+    ///
+    /// * The analytic, segmented and sampled tiers, budgets and
+    ///   checkpoints are word-granular machinery. Under a device-real
+    ///   traffic model the analytic tier declines to the one-pass tagged
+    ///   engine (exact, just not free); the others are refused.
+    /// * The one-pass tagged read needs one line size across the ladder
+    ///   (LRU inclusion holds level to level only when every level tracks
+    ///   the same lines), so a mixed-line ladder needs `Replay`.
+    /// * `Replay` answers per capacity and holds no profile. A budgeted or
+    ///   checkpointed request, or a whole-curve one (a config with no
+    ///   memories, as the profile service and [`robust_capacity_profile`]
+    ///   make), gets the bit-identical one-pass engine in its place.
+    /// * `Analytic` needs a closed form for the kernel at `cfg.n`.
+    ///
+    /// `auto` picks the analytic tier wherever it applies. Otherwise it
+    /// picks the one-pass engine once it amortizes — at ≥ 4 capacities,
+    /// counted as eligible memories × (1 + `cfg.outer.len()`), or for the
+    /// whole curve — escalating to [`Engine::StackDistPar`] for word-model
+    /// traces of at least [`AUTO_SEGMENT_LEN`] addresses; below that it
+    /// picks `Replay`. Sampling is never chosen: trading exactness is the
+    /// caller's call.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::BadParameters`] naming the request no tier can serve.
+    pub fn resolve(
+        requested: Option<Engine>,
         kernel: &dyn Kernel,
-        n: usize,
-        model: TrafficModel,
-    ) -> Engine {
-        if model.is_word_granular_read_priced() {
-            Engine::auto_for_kernel(points, kernel, n)
-        } else if points >= 4 {
-            Engine::StackDist
-        } else {
-            Engine::Replay
+        cfg: &SweepConfig,
+    ) -> Result<Engine, KernelError> {
+        let refuse = |reason: String| Err(KernelError::BadParameters { reason });
+        let robust = cfg.budget.is_some() || cfg.checkpoint.is_some();
+        let capacities = eligible(kernel, cfg).len() * (1 + cfg.outer.len());
+        let per_point = capacities > 0 && !robust;
+        let amortized = capacities >= 4 || !per_point;
+        let model = cfg.traffic;
+        if needs_device_path(cfg) {
+            if robust {
+                return refuse(format!(
+                    "budgets and checkpoints are word-granular machinery (the resumable \
+                     replay drivers stream untagged addresses); the device-real traffic \
+                     model (line_words = {}, writebacks = {}) runs unbudgeted",
+                    model.line_words, model.writebacks
+                ));
+            }
+            let mixed = cfg
+                .outer
+                .iter()
+                .map(|level| effective_line(model, level))
+                .find(|&line| line != model.line_words);
+            return match (requested, mixed) {
+                (Some(engine @ (Engine::StackDistPar { .. } | Engine::Sampled { .. })), _) => {
+                    refuse(format!(
+                        "engine {} is word-granular read-priced machinery; the device-real \
+                         traffic model (line_words = {}, writebacks = {}) needs `replay` or \
+                         `stackdist`",
+                        engine_spec(engine),
+                        model.line_words,
+                        model.writebacks
+                    ))
+                }
+                (Some(Engine::Replay), _) if per_point => Ok(Engine::Replay),
+                (None, Some(_)) if per_point => Ok(Engine::Replay),
+                (None, None) if !amortized => Ok(Engine::Replay),
+                (_, None) => Ok(Engine::StackDist),
+                (_, Some(line)) => refuse(format!(
+                    "the one-pass tagged engine needs a uniform line size across the \
+                     ladder (sweep model {} words, outer level {line} words); use engine \
+                     `replay` for mixed-line ladders",
+                    model.line_words
+                )),
+            };
+        }
+        match requested {
+            Some(Engine::Analytic) if kernel.analytic_profile(cfg.n).is_none() => {
+                Err(no_analytic(kernel, cfg.n))
+            }
+            Some(Engine::Replay) if !per_point => Ok(Engine::StackDist),
+            Some(engine) => Ok(engine),
+            None if kernel.analytic_profile(cfg.n).is_some() => Ok(Engine::Analytic),
+            None if !amortized => Ok(Engine::Replay),
+            None => Ok(match kernel.access_trace(cfg.n) {
+                Some(trace) if trace.len() >= AUTO_SEGMENT_LEN => {
+                    Engine::StackDistPar { threads: 0 }
+                }
+                _ => Engine::StackDist,
+            }),
         }
     }
 }
@@ -246,39 +326,56 @@ impl TrafficModel {
     }
 }
 
+/// What a sweep measures at each memory size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Measure {
+    /// Run the kernel's decomposition scheme on a machine with that much
+    /// local memory, verified under [`SweepConfig::verify`].
+    #[default]
+    Execute,
+    /// Replay the kernel's canonical trace through an LRU of that
+    /// capacity, on [`SweepConfig::engine`] under
+    /// [`SweepConfig::traffic`].
+    CacheModel,
+}
+
 /// Parameters of one memory sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Problem size passed to every run.
     pub n: usize,
     /// Memory sizes to measure, in words.
     pub memories: Vec<usize>,
+    /// Fixed levels below the swept local memory, innermost first (empty
+    /// for a flat sweep). Memory sizes at or above the first outer
+    /// capacity are skipped, so level 0 stays the smallest level.
+    pub outer: Vec<LevelSpec>,
+    /// What each point measures.
+    pub measure: Measure,
     /// Workload seed (same inputs at every memory size).
     pub seed: u64,
     /// Verification policy per point (the first eligible point is always
     /// fully verified when this is [`Verify::Freivalds`]).
     pub verify: Verify,
-    /// Measurement engine for the *capacity* executors
-    /// ([`capacity_sweep`] / [`hierarchy_capacity_sweep`]); the
-    /// kernel-running executors ignore it (they execute the decomposition
-    /// scheme, which no single trace can stand in for).
+    /// Measurement engine of a [`Measure::CacheModel`] sweep, run through
+    /// [`Engine::resolve`]; [`Measure::Execute`] ignores it (a
+    /// decomposition scheme is not a trace any engine could replay).
     pub engine: Engine,
-    /// Optional resource budget for the capacity executors. When any
-    /// limit trips, the measurement **degrades** along the engine ladder
-    /// (see [`robust_capacity_profile`]) instead of aborting, and the
+    /// Optional resource budget for a cache-model sweep. When any limit
+    /// trips, the measurement **degrades** along the engine ladder (see
+    /// [`robust_capacity_profile`]) instead of aborting, and the
     /// substitution is reported in [`SweepResult::provenance`]. `None`
-    /// runs unbounded. The kernel-running executors ignore it.
+    /// runs unbounded.
     pub budget: Option<Budget>,
-    /// Optional checkpoint policy for the capacity executors: the replay
+    /// Optional checkpoint policy for a cache-model sweep: the replay
     /// persists resumable engine snapshots every
     /// [`CheckpointPolicy::every`] addresses, so a killed sweep re-run
     /// with the same config resumes instead of restarting (see
-    /// [`balance_machine::checkpoint`]). The kernel-running executors
-    /// ignore it.
+    /// [`balance_machine::checkpoint`]).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// The traffic model the capacity executors price
+    /// The traffic model a cache-model sweep prices
     /// ([`TrafficModel::WORD`] by default — bit-identical to every
-    /// pre-device sweep). The kernel-running executors ignore it: a
+    /// pre-device sweep). [`Measure::Execute`] ignores it: a
     /// decomposition scheme moves its words explicitly, so there is no
     /// cache state for a line size or dirty bit to live in.
     pub traffic: TrafficModel,
@@ -287,12 +384,14 @@ pub struct SweepConfig {
 impl Default for SweepConfig {
     /// An empty sweep skeleton for struct-update syntax
     /// (`SweepConfig { n, memories, ..Default::default() }`): no points,
-    /// seed 0, full verification, default engine, no budget, no
-    /// checkpoints.
+    /// no outer levels, the executed measure, seed 0, full verification,
+    /// default engine, no budget, no checkpoints.
     fn default() -> Self {
         SweepConfig {
             n: 0,
             memories: Vec::new(),
+            outer: Vec::new(),
+            measure: Measure::default(),
             seed: 0,
             verify: Verify::Full,
             engine: Engine::default(),
@@ -304,15 +403,12 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sweep over powers of two `2^lo ..= 2^hi`, fully verified, with
-    /// the engine [`Engine::auto`] recommends for the point count.
+    /// A flat sweep over powers of two `2^lo ..= 2^hi`, fully verified.
     #[must_use]
     pub fn pow2(n: usize, lo: u32, hi: u32, seed: u64) -> Self {
-        let memories: Vec<usize> = (lo..=hi).map(|k| 1usize << k).collect();
         SweepConfig {
             n,
-            engine: Engine::auto(memories.len()),
-            memories,
+            memories: (lo..=hi).map(|k| 1usize << k).collect(),
             seed,
             ..SweepConfig::default()
         }
@@ -339,15 +435,8 @@ impl SweepConfig {
         self
     }
 
-    /// The same sweep with resumable checkpoints persisted per `policy`.
-    #[must_use]
-    pub fn with_checkpoint(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
-    }
-
     /// The same sweep under a different traffic model (line granularity
-    /// and write-back pricing for the capacity executors).
+    /// and write-back pricing for a cache-model sweep).
     #[must_use]
     pub fn with_traffic(mut self, traffic: TrafficModel) -> Self {
         self.traffic = traffic;
@@ -368,8 +457,7 @@ pub struct SweepResult {
     /// under a budget or checkpoint policy ([`SweepConfig::budget`] /
     /// [`SweepConfig::checkpoint`]): requested vs. used engine, every
     /// degradation step taken, and resume/checkpoint counters. `None`
-    /// for unbudgeted sweeps (the engine is exactly
-    /// [`SweepConfig::engine`]).
+    /// otherwise.
     pub provenance: Option<Provenance>,
 }
 
@@ -393,18 +481,125 @@ impl SweepResult {
     }
 }
 
-/// Memory sizes at or above the kernel's minimum — and, when outer levels
-/// are present, strictly below the first outer capacity (level 0 must stay
-/// the smallest level of the ladder) — in sweep order.
-fn eligible_memories(kernel: &dyn Kernel, cfg: &SweepConfig, outer: &[LevelSpec]) -> Vec<usize> {
-    let floor = kernel.min_memory(cfg.n);
-    let ceiling = outer
+/// Measures `kernel` at every eligible memory size of `cfg`, per
+/// [`SweepConfig::measure`]:
+///
+/// * [`Measure::Execute`] runs the decomposition scheme at every memory
+///   size at or above the kernel's minimum, verified under the sweep's
+///   policy. With outer levels each run carries one traffic entry per
+///   level (`io_at`, `intensity_at`); the `DataPoint`s keep the PE-port
+///   intensity. A device-real outer level (own line size or write
+///   channel) is refused: the scheme counts explicit word transfers and
+///   would misprice it.
+/// * [`Measure::CacheModel`] replays the canonical trace through an LRU
+///   of every capacity of at least one line, **all levels
+///   cache-managed**: LRU inclusion makes every boundary's traffic the
+///   misses at that level's capacity, so the profile engines read the
+///   whole ladder off one histogram. `cfg.verify` is ignored (a trace
+///   replay has no numerics to verify). The engine runs through
+///   [`Engine::resolve`].
+///
+/// # Errors
+///
+/// The first kernel failure in sweep order (including verification
+/// failures — a sweep with wrong numerics must not produce data);
+/// [`KernelError::BadParameters`] for a malformed outer ladder or line
+/// size, an engine [`Engine::resolve`] refuses, or a cache-model sweep
+/// of a kernel without a canonical trace at `cfg.n`.
+pub fn sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, KernelError> {
+    validate_outer(&cfg.outer)?;
+    if cfg.measure == Measure::Execute {
+        reject_device_outer(&cfg.outer)?;
+        let results = par_map(&eligible(kernel, cfg), |i, &m| {
+            let machine = machine_for(m, &cfg.outer, None)?;
+            kernel.run_on(cfg.n, &machine, cfg.seed, point_verify(cfg.verify, i))
+        });
+        return collect_sweep(kernel, results, None);
+    }
+    cfg.traffic.validate()?;
+    let engine = Engine::resolve(Some(cfg.engine), kernel, cfg)?;
+    let memories = eligible(kernel, cfg);
+    if engine == Engine::Replay {
+        let results = par_map(&memories, |_, &m| point_replay(kernel, cfg, m));
+        return collect_sweep(kernel, results, None);
+    }
+    let trace = trace_for(kernel, cfg.n)?;
+    let comp = trace.comp_ops();
+    let capacities =
+        |m: usize| std::iter::once(m as u64).chain(cfg.outer.iter().map(|l| l.capacity().get()));
+    if needs_device_path(cfg) {
+        let bound = trace.addr_bound();
+        let tp = tagged_profile(
+            device_accesses(trace, cfg.traffic),
+            cfg.traffic.line_words,
+            bound,
+        );
+        let results = memories.iter().map(|&m| {
+            let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities(m)
+                .map(|c| (tp.read_words_at(c), tp.writeback_words_at(c)))
+                .unzip();
+            Ok(point_run(
+                cfg.n,
+                m,
+                CostProfile::with_dual_levels(comp, &reads, &wbs),
+            ))
+        });
+        return collect_sweep(kernel, results, None);
+    }
+    drop(trace);
+    let (profile, provenance) = if cfg.budget.is_some() || cfg.checkpoint.is_some() {
+        let (profile, prov) = robust_capacity_profile(kernel, cfg, &FaultPlan::none())?;
+        (profile, Some(prov))
+    } else {
+        (capacity_profile(kernel, cfg.n, engine)?, None)
+    };
+    let results = memories.iter().map(|&m| {
+        let traffic: Vec<u64> = capacities(m).map(|c| profile.misses_at(c)).collect();
+        Ok(point_run(
+            cfg.n,
+            m,
+            CostProfile::with_levels(comp, &traffic),
+        ))
+    });
+    collect_sweep(kernel, results, provenance)
+}
+
+/// [`sweep`] of the cache-model curve: `cfg` with [`Measure::CacheModel`],
+/// whatever its own `measure` says.
+///
+/// # Errors
+///
+/// As [`sweep`].
+pub fn capacity_sweep_par(
+    kernel: &dyn Kernel,
+    cfg: &SweepConfig,
+) -> Result<SweepResult, KernelError> {
+    sweep(
+        kernel,
+        &SweepConfig {
+            measure: Measure::CacheModel,
+            ..cfg.clone()
+        },
+    )
+}
+
+/// The memory sizes a sweep measures, in sweep order: at or above the
+/// measure's floor — the kernel's minimum memory for an executed sweep,
+/// one transfer line for a cache-model one — and strictly below the
+/// first outer capacity (level 0 must stay the smallest level).
+fn eligible(kernel: &dyn Kernel, cfg: &SweepConfig) -> Vec<usize> {
+    let floor = match cfg.measure {
+        Measure::Execute => kernel.min_memory(cfg.n) as u64,
+        Measure::CacheModel => cfg.traffic.line_words.max(1),
+    };
+    let ceiling = cfg
+        .outer
         .first()
         .map_or(u64::MAX, |level| level.capacity().get());
     cfg.memories
         .iter()
         .copied()
-        .filter(|&m| m >= floor && (m as u64) < ceiling)
+        .filter(|&m| m as u64 >= floor && (m as u64) < ceiling)
         .collect()
 }
 
@@ -434,18 +629,18 @@ fn validate_outer(outer: &[LevelSpec]) -> Result<(), KernelError> {
         .map_err(|e| bad(format!("outer levels: {e}")))
 }
 
-/// The kernel-running executors count each scheme's explicit word-granular
+/// An executed sweep counts each scheme's explicit word-granular
 /// transfers; a device-real outer level (line-granular transfers or a
 /// split write channel) would be silently mispriced, so it is refused with
-/// a pointer to the capacity sweeps, which model both.
+/// a pointer to the cache-model measure, which models both.
 fn reject_device_outer(outer: &[LevelSpec]) -> Result<(), KernelError> {
     if let Some(i) = outer.iter().position(LevelSpec::is_device_real) {
         return Err(KernelError::BadParameters {
             reason: format!(
-                "outer level {} is device-real (line size {} words{}), but the \
-                 kernel-running executors count explicit word-granular transfers; \
-                 use the capacity sweeps with SweepConfig::with_traffic to price \
-                 line-granular or write-back traffic",
+                "outer level {} is device-real (line size {} words{}), but an executed \
+                 sweep counts explicit word-granular transfers; use Measure::CacheModel \
+                 with SweepConfig::with_traffic to price line-granular or write-back \
+                 traffic",
                 i + 2,
                 outer[i].line_words(),
                 if outer[i].write_bandwidth().is_some() {
@@ -459,23 +654,28 @@ fn reject_device_outer(outer: &[LevelSpec]) -> Result<(), KernelError> {
     Ok(())
 }
 
-/// True when a capacity sweep must run on the device-real path: a
+/// True when a cache-model sweep must run on the device-real path: a
 /// non-trivial [`TrafficModel`], or an outer level annotated with its own
-/// line size / write channel (the legacy word path would silently ignore
-/// the annotation).
-fn needs_device_path(cfg: &SweepConfig, outer: &[LevelSpec]) -> bool {
-    !cfg.traffic.is_word_granular_read_priced() || outer.iter().any(LevelSpec::is_device_real)
+/// line size / write channel (the word path would silently ignore the
+/// annotation).
+fn needs_device_path(cfg: &SweepConfig) -> bool {
+    !cfg.traffic.is_word_granular_read_priced() || cfg.outer.iter().any(LevelSpec::is_device_real)
 }
 
-/// The machine for one sweep point: local memory `m` under the fixed outer
-/// levels (a flat spec when there are none).
+/// The machine for one sweep point: local memory `m` under the fixed
+/// outer levels (a flat spec when there are none). With a device-real
+/// `line` model every level transfers its [`effective_line`] size.
 ///
 /// # Errors
 ///
 /// [`KernelError::BadParameters`] when the resulting ladder is malformed
 /// (e.g. a zero local capacity from a `min_memory() == 0` kernel).
-fn machine_for(m: usize, outer: &[LevelSpec]) -> Result<HierarchySpec, KernelError> {
-    if outer.is_empty() {
+fn machine_for(
+    m: usize,
+    outer: &[LevelSpec],
+    line: Option<TrafficModel>,
+) -> Result<HierarchySpec, KernelError> {
+    if outer.is_empty() && line.is_none() {
         return Ok(HierarchySpec::flat_words(m));
     }
     // m = 0 is possible for a kernel whose min_memory is 0: surface it as
@@ -483,10 +683,15 @@ fn machine_for(m: usize, outer: &[LevelSpec]) -> Result<HierarchySpec, KernelErr
     let bad = |e: &dyn core::fmt::Display| KernelError::BadParameters {
         reason: format!("sweep point M = {m}: {e}"),
     };
-    let local =
-        LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0)).map_err(|e| bad(&e))?;
-    let mut levels = vec![local];
-    levels.extend_from_slice(outer);
+    let local = LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0)).map_err(|e| bad(&e))?;
+    let levels = std::iter::once(local)
+        .chain(outer.iter().cloned())
+        .map(|level| match line {
+            Some(model) => level.with_line_words(effective_line(model, &level)),
+            None => Ok(level),
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| bad(&e))?;
     HierarchySpec::new(levels).map_err(|e| bad(&e))
 }
 
@@ -501,12 +706,11 @@ fn point_verify(cfg: Verify, idx: usize) -> Verify {
 }
 
 /// Folds per-point results into a [`SweepResult`], stopping at the first
-/// error. The iterator is consumed lazily, so when the serial executor
-/// passes its *unevaluated* run stream, a failing point aborts the sweep
-/// without computing the remaining (expensive) points.
+/// error in sweep order.
 fn collect_sweep(
     kernel: &dyn Kernel,
     results: impl IntoIterator<Item = Result<KernelRun, KernelError>>,
+    provenance: Option<Provenance>,
 ) -> Result<SweepResult, KernelError> {
     let mut points = Vec::new();
     let mut runs = Vec::new();
@@ -519,95 +723,8 @@ fn collect_sweep(
         kernel: kernel.name(),
         points,
         runs,
-        provenance: None,
+        provenance,
     })
-}
-
-/// Runs `kernel` at every memory size in the sweep; skips sizes below the
-/// kernel's minimum. Every run is verified under the sweep's policy.
-///
-/// # Errors
-///
-/// Propagates the first kernel failure in sweep order (including
-/// verification failures — a sweep with wrong numerics must not produce
-/// data).
-pub fn intensity_sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, KernelError> {
-    hierarchy_sweep(kernel, cfg, &[])
-}
-
-/// [`intensity_sweep`] fanned out over scoped worker threads — bit-identical
-/// `DataPoint`s, sweep wall-clock divided by the available cores.
-///
-/// Worker count comes from `std::thread::available_parallelism`; on a
-/// single-core host this degrades to the serial executor with zero thread
-/// overhead. Points are handed to workers through an atomic cursor and
-/// re-sorted into sweep order, so the output (including which point is the
-/// fully-verified anchor) does not depend on scheduling.
-///
-/// # Errors
-///
-/// As [`intensity_sweep`]: the first failure *in sweep order* (all points
-/// are attempted, then inspected in order).
-pub fn intensity_sweep_par(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-) -> Result<SweepResult, KernelError> {
-    hierarchy_sweep_par(kernel, cfg, &[])
-}
-
-/// Sweeps the local memory `M_1` over `cfg.memories` while the fixed
-/// `outer` levels sit below it — the hierarchy generalization of
-/// [`intensity_sweep`], and exactly it when `outer` is empty.
-///
-/// Each run's [`KernelRun::execution`] carries one traffic entry per level
-/// (`io_at`, `intensity_at`); the returned `DataPoint`s keep the PE-port
-/// intensity, so every fitting/inversion consumer works unchanged.
-/// Memory sizes at or above the first outer capacity are skipped (level 0
-/// must stay the smallest level), as are sizes below the kernel's minimum.
-///
-/// # Errors
-///
-/// As [`intensity_sweep`], plus [`KernelError::BadParameters`] for a
-/// malformed `outer` ladder.
-pub fn hierarchy_sweep(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    reject_device_outer(outer)?;
-    let memories = eligible_memories(kernel, cfg, outer);
-    // Lazy map: collect_sweep stops pulling (and thus running) points at
-    // the first failure.
-    collect_sweep(
-        kernel,
-        memories.iter().enumerate().map(|(i, &m)| {
-            let machine = machine_for(m, outer)?;
-            kernel.run_on(cfg.n, &machine, cfg.seed, point_verify(cfg.verify, i))
-        }),
-    )
-}
-
-/// [`hierarchy_sweep`] fanned out over scoped worker threads (the same
-/// executor as [`intensity_sweep_par`] — bit-identical points, first error
-/// in sweep order).
-///
-/// # Errors
-///
-/// As [`hierarchy_sweep`].
-pub fn hierarchy_sweep_par(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    reject_device_outer(outer)?;
-    let memories = eligible_memories(kernel, cfg, outer);
-    let results = par_map(&memories, |i, &m| {
-        let machine = machine_for(m, outer)?;
-        kernel.run_on(cfg.n, &machine, cfg.seed, point_verify(cfg.verify, i))
-    });
-    collect_sweep(kernel, results)
 }
 
 /// The kernel's canonical trace, or the documented error for kernels (or
@@ -617,199 +734,71 @@ fn trace_for(kernel: &dyn Kernel, n: usize) -> Result<AccessTrace, KernelError> 
         .access_trace(n)
         .ok_or_else(|| KernelError::BadParameters {
             reason: format!(
-                "{} has no canonical access trace at n = {n} (capacity sweeps \
-                 need one; use the kernel-running executors instead)",
+                "{} has no canonical access trace at n = {n} (cache-model sweeps \
+                 need one; use Measure::Execute instead)",
                 kernel.name()
             ),
         })
 }
 
 /// One cache-model sweep point as a [`KernelRun`]: the traced
-/// computation's op count over the model's miss volume. The peak-memory
-/// field reports the configured capacity (the model cache owns all of
-/// `M`); both engines build points through here, so engine bit-identity
-/// is structural.
-fn capacity_run(n: usize, m: usize, comp_ops: u64, traffic: &[u64]) -> KernelRun {
+/// computation's op count over the model's traffic. The peak-memory field
+/// reports the configured capacity (the model cache owns all of `M`);
+/// every engine builds points through here, so engine bit-identity is
+/// structural.
+fn point_run(n: usize, m: usize, cost: CostProfile) -> KernelRun {
     KernelRun {
         n,
         m,
-        execution: Execution::new(
-            CostProfile::with_levels(comp_ops, traffic),
-            Words::new(m as u64),
-        ),
+        execution: Execution::new(cost, Words::new(m as u64)),
     }
 }
 
-/// Measures the **cache-model** intensity curve `r(M) = C_comp /
-/// misses(M)`: the kernel's canonical trace ([`Kernel::access_trace`])
-/// replayed through a word-granular LRU of each sweep capacity. Emits
-/// [`SweepResult`] / [`DataPoint`]s exactly like [`intensity_sweep`] —
-/// same shapes, fitting and inversion machinery — but measures the
-/// automatically-managed memory instead of the explicit decomposition
-/// scheme (the E13 ablation's other half; the curves differ wherever LRU
-/// falls short of the paper's blocking).
-///
-/// Under [`Engine::StackDist`] the whole sweep costs **one replay**:
-/// Mattson stack-distance accounting answers every capacity from a single
-/// histogram, bit-identically to the per-`M` [`Engine::Replay`] (pinned by
-/// property test across the registry). Capacities of zero are skipped (a
-/// cache needs a word); `cfg.verify` is ignored (a trace replay has no
-/// numerics to verify).
-///
-/// # Errors
-///
-/// [`KernelError::BadParameters`] when the kernel has no canonical trace
-/// at `cfg.n`.
-pub fn capacity_sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, KernelError> {
-    hierarchy_capacity_sweep(kernel, cfg, &[])
-}
-
-/// [`capacity_sweep`] with the per-`M` replays fanned out over worker
-/// threads ([`par_map`]) — meaningful for [`Engine::Replay`] only; the
-/// one-pass engine is a single replay with nothing to fan out and runs
-/// identically to the serial executor. Bit-identical points either way.
-///
-/// # Errors
-///
-/// As [`capacity_sweep`].
-pub fn capacity_sweep_par(
+/// One replay-engine point: the canonical trace through an actual cache
+/// of capacity `m` — a flat [`LruCache`], or a [`Hierarchy`] ladder under
+/// the outer levels. On the device-real path the state is line-granular
+/// with dirty bits, each level at its [`effective_line`] size.
+fn point_replay(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
-) -> Result<SweepResult, KernelError> {
-    hierarchy_capacity_sweep_par(kernel, cfg, &[])
-}
-
-/// Capacities eligible for a capacity sweep: positive, and below the
-/// first outer level so level 0 stays the smallest level of the ladder.
-fn eligible_capacities(cfg: &SweepConfig, outer: &[LevelSpec]) -> Vec<usize> {
-    let ceiling = outer
-        .first()
-        .map_or(u64::MAX, |level| level.capacity().get());
-    cfg.memories
-        .iter()
-        .copied()
-        .filter(|&m| m >= 1 && (m as u64) < ceiling)
-        .collect()
-}
-
-/// The multi-level one-pass sweep: level 0's capacity sweeps over
-/// `cfg.memories` under the fixed `outer` levels, **all levels
-/// cache-managed** (the trace-driven configuration of
-/// [`Hierarchy`]), each run carrying one traffic entry per
-/// boundary. LRU inclusion makes every boundary's traffic exactly the
-/// misses at that level's capacity, so [`Engine::StackDist`] reads the
-/// whole ladder — and the whole sweep — off one histogram;
-/// [`Engine::Replay`] replays the trace through an actual ladder per
-/// point (bit-identical, pinned by property test).
-///
-/// # Errors
-///
-/// As [`capacity_sweep`], plus [`KernelError::BadParameters`] for a
-/// malformed `outer` ladder.
-pub fn hierarchy_capacity_sweep(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    if needs_device_path(cfg, outer) {
-        return device_capacity_points(kernel, cfg, outer, false);
-    }
-    let memories = eligible_capacities(cfg, outer);
-    match cfg.engine {
-        // A budgeted/checkpointed Replay routes through the profile path:
-        // per-point cache replays have no resumable snapshot, and the
-        // one-pass engine is bit-identical (the substitution is recorded
-        // in the result's provenance).
-        Engine::Replay if cfg.budget.is_none() && cfg.checkpoint.is_none() => collect_sweep(
-            kernel,
-            memories
-                .iter()
-                .map(|&m| capacity_point_replay(kernel, cfg, outer, m)),
-        ),
-        engine => capacity_points_profile(kernel, cfg, outer, &memories, engine),
-    }
-}
-
-/// [`hierarchy_capacity_sweep`] with per-`M` replays on worker threads
-/// (see [`capacity_sweep_par`]).
-///
-/// # Errors
-///
-/// As [`hierarchy_capacity_sweep`].
-pub fn hierarchy_capacity_sweep_par(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-) -> Result<SweepResult, KernelError> {
-    validate_outer(outer)?;
-    if needs_device_path(cfg, outer) {
-        return device_capacity_points(kernel, cfg, outer, true);
-    }
-    let memories = eligible_capacities(cfg, outer);
-    match cfg.engine {
-        Engine::Replay if cfg.budget.is_none() && cfg.checkpoint.is_none() => collect_sweep(
-            kernel,
-            par_map(&memories, |_, &m| {
-                capacity_point_replay(kernel, cfg, outer, m)
-            }),
-        ),
-        engine => capacity_points_profile(kernel, cfg, outer, &memories, engine),
-    }
-}
-
-/// One replay-engine point: the canonical trace through an actual
-/// one-level [`LruCache`] (flat) or [`Hierarchy`] ladder of capacity `m`
-/// under the outer levels.
-fn capacity_point_replay(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
     m: usize,
 ) -> Result<KernelRun, KernelError> {
     let trace = trace_for(kernel, cfg.n)?;
     let comp = trace.comp_ops();
-    let traffic = if outer.is_empty() {
-        let mut cache = LruCache::with_address_bound(m, 1, trace.addr_bound());
-        vec![cache.run_trace(trace.into_addrs())]
-    } else {
-        let mut caps = vec![Words::new(m as u64)];
-        caps.extend(outer.iter().map(|l| l.capacity()));
-        let mut ladder = Hierarchy::new(&caps);
-        ladder.run_trace(trace.into_addrs()).as_slice().to_vec()
+    let bound = trace.addr_bound();
+    let model = cfg.traffic;
+    let cost = match (needs_device_path(cfg), cfg.outer.is_empty()) {
+        (false, true) => {
+            let mut cache = LruCache::with_address_bound(m, 1, bound);
+            CostProfile::with_levels(comp, &[cache.run_trace(trace.into_addrs())])
+        }
+        (false, false) => {
+            let mut ladder = Hierarchy::from_spec(&machine_for(m, &cfg.outer, None)?);
+            CostProfile::with_levels(comp, ladder.run_trace(trace.into_addrs()).as_slice())
+        }
+        (true, true) => {
+            let lw = model.line_words;
+            // At most `m` lines: the quotient fits usize.
+            let mut cache = LruCache::with_address_bound((m as u64 / lw) as usize, lw, bound);
+            let _ = cache.run_tagged_trace(device_accesses(trace, model));
+            CostProfile::with_dual_levels(comp, &[cache.miss_words()], &[cache.writeback_words()])
+        }
+        (true, false) => {
+            let spec = machine_for(m, &cfg.outer, Some(model))?;
+            let traffic =
+                Hierarchy::from_spec_device(&spec).run_tagged_trace(device_accesses(trace, model));
+            let (reads, wbs): (Vec<u64>, Vec<u64>) = (0..traffic.len())
+                .map(|i| {
+                    (
+                        traffic.read_at(i).unwrap_or(0),
+                        traffic.writeback_at(i).unwrap_or(0),
+                    )
+                })
+                .unzip();
+            CostProfile::with_dual_levels(comp, &reads, &wbs)
+        }
     };
-    Ok(capacity_run(cfg.n, m, comp, &traffic))
-}
-
-/// All profile-engine points from **one pass**: the reuse profile is
-/// built once (serially, segmented-parallel, or sampled, per `engine`),
-/// then every sweep capacity (and every outer boundary) is an O(1) read.
-fn capacity_points_profile(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    memories: &[usize],
-    engine: Engine,
-) -> Result<SweepResult, KernelError> {
-    let (profile, provenance) = if cfg.budget.is_some() || cfg.checkpoint.is_some() {
-        let no_faults = FaultPlan::none();
-        let robust_cfg = cfg.clone().with_engine(engine);
-        let (profile, prov) = robust_capacity_profile(kernel, &robust_cfg, &no_faults)?;
-        (profile, Some(prov))
-    } else {
-        (capacity_profile(kernel, cfg.n, engine)?, None)
-    };
-    let comp = trace_for(kernel, cfg.n)?.comp_ops();
-    let mut result = collect_sweep(
-        kernel,
-        memories.iter().map(|&m| {
-            let mut traffic = vec![profile.misses_at(m as u64)];
-            traffic.extend(outer.iter().map(|l| profile.misses_at(l.capacity().get())));
-            Ok(capacity_run(cfg.n, m, comp, &traffic))
-        }),
-    )?;
-    result.provenance = provenance;
-    Ok(result)
+    Ok(point_run(cfg.n, m, cost))
 }
 
 /// Whether the address bound is worth a direct-indexed last-access table
@@ -858,230 +847,43 @@ fn device_accesses(trace: AccessTrace, model: TrafficModel) -> Box<dyn Iterator<
     }
 }
 
-/// One device-real sweep point as a [`KernelRun`]: dual-ledger traffic
-/// (read words + write-back words per boundary) under the traced
-/// computation's op count. The device counterpart of [`capacity_run`];
-/// both engines build points through here, so engine bit-identity is
-/// structural here too.
-fn device_capacity_run(n: usize, m: usize, comp_ops: u64, reads: &[u64], wbs: &[u64]) -> KernelRun {
-    KernelRun {
-        n,
-        m,
-        execution: Execution::new(
-            CostProfile::with_dual_levels(comp_ops, reads, wbs),
-            Words::new(m as u64),
+/// The documented error for a kernel without a closed form at `n`.
+fn no_analytic(kernel: &dyn Kernel, n: usize) -> KernelError {
+    KernelError::BadParameters {
+        reason: format!(
+            "kernel {} derives no analytic profile at n = {n}; \
+             use a replay engine (stackdist, stackdist-par, sampled)",
+            kernel.name()
         ),
     }
 }
 
-/// The device-real capacity executor: every sweep under a non-trivial
-/// [`TrafficModel`] routes here (the word-granular read-priced model
-/// never does — its sweeps run the untouched exact paths bit for bit).
-///
-/// Engine gating, per tier:
-///
-/// * [`Engine::Replay`] replays the tagged trace through actual
-///   line-granular dirty-bit LRU state per point (fanned out over
-///   workers when `par`);
-/// * [`Engine::StackDist`] answers the whole sweep from **one** tagged
-///   replay via [`TrafficProfile`](balance_machine::TrafficProfile) —
-///   bit-identical to the per-point replays (pinned by test);
-/// * [`Engine::Analytic`]'s closed forms are word-granular read-priced
-///   derivations, so the tier **declines** device-real models and the
-///   one-pass tagged engine answers instead (exact, just not free);
-/// * [`Engine::StackDistPar`] and [`Engine::Sampled`] are word-granular
-///   machinery (segment merges and hash sampling carry no dirty state)
-///   and are refused outright rather than silently mispriced.
-///
-/// Sweep capacities smaller than one line are skipped — a cache that
-/// cannot hold a single line is not a capacity point.
-///
-/// # Errors
-///
-/// [`KernelError::BadParameters`] for a malformed line size, a refused
-/// engine, a budget/checkpoint policy (the resumable drivers replay
-/// untagged addresses — word-granular machinery), or a kernel without a
-/// canonical trace at `cfg.n`.
-fn device_capacity_points(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    par: bool,
-) -> Result<SweepResult, KernelError> {
-    let model = cfg.traffic;
-    model.validate()?;
-    let bad = |reason: String| KernelError::BadParameters { reason };
-    if cfg.budget.is_some() || cfg.checkpoint.is_some() {
-        return Err(bad(format!(
-            "budgets and checkpoints are word-granular machinery (the resumable replay \
-             drivers stream untagged addresses); the device-real traffic model \
-             (line_words = {}, writebacks = {}) runs unbudgeted",
-            model.line_words, model.writebacks
-        )));
-    }
-    let memories: Vec<usize> = eligible_capacities(cfg, outer)
-        .into_iter()
-        .filter(|&m| m as u64 >= model.line_words)
-        .collect();
-    match cfg.engine {
-        Engine::StackDistPar { .. } | Engine::Sampled { .. } => Err(bad(format!(
-            "engine {} is word-granular read-priced machinery; the device-real traffic \
-             model (line_words = {}, writebacks = {}) needs `replay` or `stackdist`",
-            engine_spec(cfg.engine),
-            model.line_words,
-            model.writebacks
-        ))),
-        Engine::Replay if par => collect_sweep(
-            kernel,
-            par_map(&memories, |_, &m| device_point_replay(kernel, cfg, outer, m)),
-        ),
-        Engine::Replay => collect_sweep(
-            kernel,
-            memories
-                .iter()
-                .map(|&m| device_point_replay(kernel, cfg, outer, m)),
-        ),
-        Engine::StackDist | Engine::Analytic => device_points_profile(kernel, cfg, outer, &memories),
-    }
+/// The kernel's closed-form profile at `n`.
+fn analytic_profile(kernel: &dyn Kernel, n: usize) -> Result<CapacityProfile, KernelError> {
+    kernel
+        .analytic_profile(n)
+        .map(AnalyticProfile::into_profile)
+        .ok_or_else(|| no_analytic(kernel, n))
 }
 
-/// One device-real replay point: the tagged trace through actual
-/// line-granular dirty-bit LRU state of capacity `m` (a flat
-/// [`LruCache`] on the direct-indexed backend, or a
-/// [`Hierarchy::from_spec_device`] ladder under outer levels, each level
-/// at its [`effective_line`] size).
-fn device_point_replay(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    m: usize,
-) -> Result<KernelRun, KernelError> {
-    let model = cfg.traffic;
-    let lw = model.line_words;
-    let trace = trace_for(kernel, cfg.n)?;
-    let comp = trace.comp_ops();
-    let bound = trace.addr_bound();
-    if outer.is_empty() {
-        let lines = usize::try_from(m as u64 / lw)
-            .unwrap_or_else(|_| panic!("capacity {m} overflows the line count"));
-        let mut cache = LruCache::with_address_bound(lines, lw, bound);
-        let _ = cache.run_tagged_trace(device_accesses(trace, model));
-        return Ok(device_capacity_run(
-            cfg.n,
-            m,
-            comp,
-            &[cache.miss_words()],
-            &[cache.writeback_words()],
-        ));
-    }
-    let bad = |e: &dyn core::fmt::Display| KernelError::BadParameters {
-        reason: format!("sweep point M = {m}: {e}"),
-    };
-    let local = LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0))
-        .and_then(|l| l.with_line_words(lw))
-        .map_err(|e| bad(&e))?;
-    let mut levels = vec![local];
-    for level in outer {
-        levels.push(
-            level
-                .with_line_words(effective_line(model, level))
-                .map_err(|e| bad(&e))?,
-        );
-    }
-    let spec = HierarchySpec::new(levels).map_err(|e| bad(&e))?;
-    let mut ladder = Hierarchy::from_spec_device(&spec);
-    let traffic = ladder.run_tagged_trace(device_accesses(trace, model));
-    let depth = traffic.len();
-    let reads: Vec<u64> = (0..depth).map(|i| traffic.read_at(i).unwrap_or(0)).collect();
-    let wbs: Vec<u64> = (0..depth)
-        .map(|i| traffic.writeback_at(i).unwrap_or(0))
-        .collect();
-    Ok(device_capacity_run(cfg.n, m, comp, &reads, &wbs))
-}
-
-/// All device-real profile points from **one** tagged replay: a
-/// [`TrafficProfile`](balance_machine::TrafficProfile) answers every
-/// capacity's read misses and write-backs in O(1).
-///
-/// The one-pass read is only sound at a **uniform** line size: LRU
-/// inclusion (the Mattson stack property the whole-ladder read rests on)
-/// holds level-to-level only when every level tracks the same lines, so
-/// a mixed-line ladder is refused here and needs [`Engine::Replay`].
-fn device_points_profile(
-    kernel: &dyn Kernel,
-    cfg: &SweepConfig,
-    outer: &[LevelSpec],
-    memories: &[usize],
-) -> Result<SweepResult, KernelError> {
-    let model = cfg.traffic;
-    for level in outer {
-        let eff = effective_line(model, level);
-        if eff != model.line_words {
-            return Err(KernelError::BadParameters {
-                reason: format!(
-                    "the one-pass tagged engine needs a uniform line size across the \
-                     ladder (sweep model {} words, outer level {} words); use engine \
-                     `replay` for mixed-line ladders",
-                    model.line_words, eff
-                ),
-            });
-        }
-    }
-    let trace = trace_for(kernel, cfg.n)?;
-    let comp = trace.comp_ops();
-    let bound = trace.addr_bound();
-    let accesses = device_accesses(trace, model);
-    let tp = tagged_profile(accesses, model.line_words, bound);
-    collect_sweep(
-        kernel,
-        memories.iter().map(|&m| {
-            let capacities =
-                std::iter::once(m as u64).chain(outer.iter().map(|l| l.capacity().get()));
-            let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities
-                .map(|c| (tp.read_words_at(c), tp.writeback_words_at(c)))
-                .unzip();
-            Ok(device_capacity_run(cfg.n, m, comp, &reads, &wbs))
-        }),
-    )
-}
-
-/// Builds the kernel's [`CapacityProfile`] on the requested profile
-/// engine ([`Engine::Replay`] has no profile and is rejected by the
-/// callers' dispatch).
+/// Builds the kernel's [`CapacityProfile`] on a resolved profile engine,
+/// unbudgeted.
 ///
 /// # Errors
 ///
 /// [`KernelError::BadParameters`] when the kernel has no canonical trace
-/// at `n`.
+/// (or, for the analytic tier, no closed form) at `n`.
 fn capacity_profile(
     kernel: &dyn Kernel,
     n: usize,
     engine: Engine,
 ) -> Result<CapacityProfile, KernelError> {
     if engine == Engine::Analytic {
-        return kernel
-            .analytic_profile(n)
-            .map(balance_machine::AnalyticProfile::into_profile)
-            .ok_or_else(|| KernelError::BadParameters {
-                reason: format!(
-                    "kernel {} derives no analytic profile at n = {n}; \
-                     use a replay engine (stackdist, stackdist-par, sampled)",
-                    kernel.name()
-                ),
-            });
+        return analytic_profile(kernel, n);
     }
     let trace = trace_for(kernel, n)?;
-    let bound = trace.addr_bound();
+    let bound = direct_bound(trace.addr_bound());
     Ok(match engine {
-        Engine::Analytic => unreachable!("handled by the early return above"),
-        Engine::Replay | Engine::StackDist => match direct_bound(bound) {
-            Some(b) => StackDistance::profile_of_bounded(trace.into_addrs(), b),
-            None => StackDistance::profile_of(trace.into_addrs()),
-        },
-        Engine::Sampled { shift } => match direct_bound(bound) {
-            Some(b) => sampled_profile_of_bounded(trace.into_addrs(), b, shift),
-            None => sampled_profile_of(trace.into_addrs(), shift),
-        },
         Engine::StackDistPar { threads } => {
             let len = trace.len();
             drop(trace);
@@ -1089,13 +891,21 @@ fn capacity_profile(
             // streaming generator: `skip` is O(1) for generators with a
             // positional `nth` (e.g. the matmul trace) and one cheap
             // linear scan otherwise.
-            segmented_profile_of(len, direct_bound(bound), resolve_threads(threads), |start, end| {
+            segmented_profile_of(len, bound, resolve_threads(threads), |start, end| {
                 segment_range(kernel, n, start, end)
             })
         }
+        Engine::Sampled { shift } => match bound {
+            Some(b) => sampled_profile_of_bounded(trace.into_addrs(), b, shift),
+            None => sampled_profile_of(trace.into_addrs(), shift),
+        },
+        // The exact serial histogram: replay's curve, bit for bit.
+        _ => match bound {
+            Some(b) => StackDistance::profile_of_bounded(trace.into_addrs(), b),
+            None => StackDistance::profile_of(trace.into_addrs()),
+        },
     })
 }
-
 /// Resolves a [`Engine::StackDistPar`] thread count (`0` = the host's
 /// available parallelism).
 fn resolve_threads(threads: usize) -> usize {
@@ -1229,13 +1039,15 @@ fn pre_trip(engine: Engine, budget: &Budget, bound: u64, len: u64) -> Option<Bud
 }
 
 /// The CLI spelling of an engine (`replay`, `stackdist`,
-/// `stackdist-par:K`, `sampled:S`) — used by provenance lines and
-/// diagnostics.
+/// `stackdist-par[:K]`, `sampled:S`, `analytic`) — used by provenance
+/// lines, store tags and diagnostics, and parsed back by
+/// [`Engine::parse`].
 #[must_use]
 pub fn engine_spec(engine: Engine) -> String {
     match engine {
         Engine::Replay => "replay".into(),
         Engine::StackDist => "stackdist".into(),
+        Engine::StackDistPar { threads: 0 } => "stackdist-par".into(),
         Engine::StackDistPar { threads } => format!("stackdist-par:{threads}"),
         Engine::Sampled { shift } => format!("sampled:{shift}"),
         Engine::Analytic => "analytic".into(),
@@ -1269,7 +1081,7 @@ impl core::fmt::Display for DegradationStep {
 /// How a robust capacity measurement was actually obtained — the honest
 /// companion to a profile that may not come from the engine the caller
 /// asked for.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// The engine the caller requested.
     pub requested: Engine,
@@ -1338,15 +1150,6 @@ impl Provenance {
     }
 }
 
-/// Durability counters from one ladder-rung attempt.
-#[derive(Debug, Default, Clone, Copy)]
-struct AttemptStats {
-    resumed_at: Option<u64>,
-    resumed_segments: usize,
-    segment_retries: u64,
-    checkpoints_written: u64,
-}
-
 /// The serial replay's checkpoint-image name: one image per
 /// (kernel, size), so interleaved sweeps in one directory cannot resume
 /// from each other's state.
@@ -1359,6 +1162,8 @@ fn checkpoint_name(kernel: &dyn Kernel, n: usize) -> String {
 /// drivers; sampled rungs stream through [`SampledStackDistance`] on the
 /// hash-indexed backend with the same deadline/fault cadence (sampled
 /// state is small enough that checkpointing it is not worth the I/O).
+/// The returned [`Provenance`] carries the attempt's durability counters
+/// only.
 fn run_profile_attempt(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
@@ -1367,11 +1172,12 @@ fn run_profile_attempt(
     len: u64,
     deadline: Option<Instant>,
     faults: &FaultPlan,
-) -> Result<(CapacityProfile, AttemptStats), ReplayInterrupt> {
+) -> Result<(CapacityProfile, Provenance), ReplayInterrupt> {
     match engine {
-        Engine::Replay => unreachable!("replay is mapped to stackdist before the ladder"),
-        Engine::Analytic => unreachable!("analytic profiles are built before the ladder"),
-        Engine::StackDist => {
+        // The exact serial rung. Resolved requests bring only replay tiers
+        // to the ladder; replay's and the closed form's curves are this
+        // histogram bit for bit.
+        Engine::Replay | Engine::StackDist | Engine::Analytic => {
             let name = checkpoint_name(kernel, cfg.n);
             let mut ctl = ReplayControl::new(&name);
             ctl.policy = cfg.checkpoint.as_ref();
@@ -1384,10 +1190,10 @@ fn run_profile_attempt(
             let (eng, stats) = resumable_replay(len, kernel_addrs(kernel, cfg.n), fresh, &ctl)?;
             Ok((
                 eng.into_profile(),
-                AttemptStats {
+                Provenance {
                     resumed_at: stats.resumed_at,
                     checkpoints_written: stats.checkpoints_written,
-                    ..AttemptStats::default()
+                    ..Provenance::default()
                 },
             ))
         }
@@ -1403,11 +1209,11 @@ fn run_profile_attempt(
             )?;
             Ok((
                 profile,
-                AttemptStats {
+                Provenance {
                     resumed_segments: stats.resumed_segments,
                     segment_retries: stats.segment_retries,
                     checkpoints_written: stats.checkpoints_written,
-                    ..AttemptStats::default()
+                    ..Provenance::default()
                 },
             ))
         }
@@ -1430,7 +1236,7 @@ fn run_profile_attempt(
                     }
                 }
             }
-            Ok((eng.into_profile(), AttemptStats::default()))
+            Ok((eng.into_profile(), Provenance::default()))
         }
     }
 }
@@ -1438,7 +1244,9 @@ fn run_profile_attempt(
 /// Builds the kernel's [`CapacityProfile`] under [`SweepConfig::budget`]
 /// and [`SweepConfig::checkpoint`], degrading along the engine ladder
 /// instead of aborting, and reporting exactly how the profile was
-/// obtained.
+/// obtained. `cfg.engine` runs through [`Engine::resolve`] as a request
+/// for the whole curve, so a requested replay enters the ladder as its
+/// bit-identical one-pass engine.
 ///
 /// The ladder (see [`next_rung`] in this module): segmented-parallel →
 /// serial one-pass → SHARDS sampling at rate `2^-4`, then coarser powers
@@ -1458,8 +1266,9 @@ fn run_profile_attempt(
 ///
 /// # Errors
 ///
-/// [`KernelError::BadParameters`] when the kernel has no canonical trace
-/// at `cfg.n`; [`KernelError::BudgetExhausted`] when even the floor
+/// [`KernelError::BadParameters`] for an engine [`Engine::resolve`]
+/// refuses or a kernel without a canonical trace at `cfg.n`;
+/// [`KernelError::BudgetExhausted`] when even the floor
 /// rung's estimate exceeds a limit; [`KernelError::Interrupted`] when an
 /// injected fault or a checkpoint-persistence failure stops the replay.
 pub fn robust_capacity_profile(
@@ -1467,25 +1276,25 @@ pub fn robust_capacity_profile(
     cfg: &SweepConfig,
     faults: &FaultPlan,
 ) -> Result<(CapacityProfile, Provenance), KernelError> {
+    // Whatever the sweep's memories, the ladder builds the whole curve.
+    let whole_curve = SweepConfig {
+        memories: Vec::new(),
+        outer: Vec::new(),
+        ..cfg.clone()
+    };
+    let requested = cfg.engine;
+    let mut engine = Engine::resolve(Some(requested), kernel, &whole_curve)?;
     // The analytic tier replays nothing, holds no per-address state, and
     // finishes in microseconds: no budget can trip and there is nothing
-    // to checkpoint, so it bypasses the ladder entirely. A kernel without
-    // a derivation errors here rather than degrading — the caller asked
-    // for exact-and-free specifically.
-    if cfg.engine == Engine::Analytic {
-        let profile = capacity_profile(kernel, cfg.n, Engine::Analytic)?;
-        return Ok((
-            profile,
-            Provenance {
-                requested: Engine::Analytic,
-                used: Engine::Analytic,
-                steps: Vec::new(),
-                resumed_at: None,
-                resumed_segments: 0,
-                segment_retries: 0,
-                checkpoints_written: 0,
-            },
-        ));
+    // to checkpoint, so it bypasses the ladder entirely.
+    if engine == Engine::Analytic {
+        let profile = analytic_profile(kernel, cfg.n)?;
+        let provenance = Provenance {
+            requested,
+            used: engine,
+            ..Provenance::default()
+        };
+        return Ok((profile, provenance));
     }
     let probe = trace_for(kernel, cfg.n)?;
     let len = probe.len();
@@ -1493,15 +1302,6 @@ pub fn robust_capacity_profile(
     drop(probe);
     let budget = cfg.budget.unwrap_or_default();
     let deadline = budget.max_wall.map(|w| Instant::now() + w);
-
-    let requested = cfg.engine;
-    // Replay has no one-pass state to checkpoint; its bit-identical
-    // one-pass equivalent enters the ladder in its place (recorded as
-    // `used`, with no degradation step — the numbers are identical).
-    let mut engine = match requested {
-        Engine::Replay => Engine::StackDist,
-        other => other,
-    };
     let mut steps: Vec<DegradationStep> = Vec::new();
 
     // Settle the estimate-checkable limits before paying for a doomed
@@ -1521,34 +1321,25 @@ pub fn robust_capacity_profile(
         engine = next;
     }
 
-    let mut total = AttemptStats::default();
     loop {
-        let floor = next_rung(engine).is_none();
-        let attempt_deadline = if floor { None } else { deadline };
-        match run_profile_attempt(kernel, cfg, engine, bound, len, attempt_deadline, faults) {
-            Ok((profile, stats)) => {
-                total.resumed_at = total.resumed_at.or(stats.resumed_at);
-                total.resumed_segments += stats.resumed_segments;
-                total.segment_retries += stats.segment_retries;
-                total.checkpoints_written += stats.checkpoints_written;
-                return Ok((
-                    profile,
-                    Provenance {
-                        requested,
-                        used: engine,
-                        steps,
-                        resumed_at: total.resumed_at,
-                        resumed_segments: total.resumed_segments,
-                        segment_retries: total.segment_retries,
-                        checkpoints_written: total.checkpoints_written,
-                    },
-                ));
-            }
-            Err(ReplayInterrupt::DeadlineExceeded) => {
-                let limit = budget.max_wall.unwrap_or_default();
-                let Some(next) = next_rung(engine) else {
-                    unreachable!("the floor rung runs without a deadline")
+        let next = next_rung(engine);
+        // The floor rung runs without a deadline: a late answer beats none.
+        let attempt_deadline = next.and(deadline);
+        match (
+            run_profile_attempt(kernel, cfg, engine, bound, len, attempt_deadline, faults),
+            next,
+        ) {
+            (Ok((profile, counters)), _) => {
+                let provenance = Provenance {
+                    requested,
+                    used: engine,
+                    steps,
+                    ..counters
                 };
+                return Ok((profile, provenance));
+            }
+            (Err(ReplayInterrupt::DeadlineExceeded), Some(next)) => {
+                let limit = budget.max_wall.unwrap_or_default();
                 steps.push(DegradationStep {
                     from: engine,
                     to: next,
@@ -1556,7 +1347,7 @@ pub fn robust_capacity_profile(
                 });
                 engine = next;
             }
-            Err(other) => {
+            (Err(other), _) => {
                 return Err(KernelError::Interrupted {
                     reason: other.to_string(),
                 })
@@ -1639,7 +1430,7 @@ mod tests {
     #[test]
     fn matmul_sweep_fits_sqrt_law() {
         let cfg = SweepConfig::pow2(48, 5, 11, 42);
-        let result = intensity_sweep(&MatMul, &cfg).unwrap();
+        let result = sweep(&MatMul, &cfg).unwrap();
         assert!(result.points.len() >= 6);
         let fit = result.fit().unwrap();
         match fit.best {
@@ -1653,7 +1444,7 @@ mod tests {
     #[test]
     fn matvec_sweep_fits_constant_law() {
         let cfg = SweepConfig::pow2(64, 5, 12, 42);
-        let result = intensity_sweep(&MatVec, &cfg).unwrap();
+        let result = sweep(&MatVec, &cfg).unwrap();
         let fit = result.fit().unwrap();
         assert_eq!(
             fit.best.growth_law(),
@@ -1673,14 +1464,14 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let result = intensity_sweep(&MatMul, &cfg).unwrap();
+        let result = sweep(&MatMul, &cfg).unwrap();
         assert_eq!(result.points.len(), 1);
     }
 
     #[test]
     fn curve_supports_empirical_rebalance() {
         let cfg = SweepConfig::pow2(48, 5, 11, 7);
-        let result = intensity_sweep(&MatMul, &cfg).unwrap();
+        let result = sweep(&MatMul, &cfg).unwrap();
         let curve = result.curve().unwrap();
         // alpha = 2 on sqrt-law data: memory should grow ~4x.
         let m_new = curve.empirical_rebalance(2.0, 256.0).unwrap();
@@ -1691,18 +1482,80 @@ mod tests {
         );
     }
 
+    /// `cfg` as an executed sweep under `outer`.
+    fn executed(
+        kernel: &dyn Kernel,
+        cfg: &SweepConfig,
+        outer: &[LevelSpec],
+    ) -> Result<SweepResult, KernelError> {
+        sweep(
+            kernel,
+            &SweepConfig {
+                outer: outer.to_vec(),
+                ..cfg.clone()
+            },
+        )
+    }
+
+    /// `cfg` as a cache-model sweep under `outer`.
+    fn cache_model(
+        kernel: &dyn Kernel,
+        cfg: &SweepConfig,
+        outer: &[LevelSpec],
+    ) -> Result<SweepResult, KernelError> {
+        sweep(
+            kernel,
+            &SweepConfig {
+                measure: Measure::CacheModel,
+                outer: outer.to_vec(),
+                ..cfg.clone()
+            },
+        )
+    }
+
+    /// The executed sweep as a plain serial loop: `run_on` per eligible
+    /// memory, the first point the verification anchor.
+    fn reference_runs(
+        kernel: &dyn Kernel,
+        cfg: &SweepConfig,
+        outer: &[LevelSpec],
+    ) -> Vec<KernelRun> {
+        let floor = kernel.min_memory(cfg.n);
+        let ceiling = outer.first().map_or(u64::MAX, |l| l.capacity().get());
+        cfg.memories
+            .iter()
+            .filter(|&&m| m >= floor && (m as u64) < ceiling)
+            .enumerate()
+            .map(|(i, &m)| {
+                let mut levels =
+                    vec![LevelSpec::new(Words::new(m as u64), WordsPerSec::new(1.0)).unwrap()];
+                levels.extend_from_slice(outer);
+                let machine = if outer.is_empty() {
+                    HierarchySpec::flat_words(m)
+                } else {
+                    HierarchySpec::new(levels).unwrap()
+                };
+                let verify = match cfg.verify {
+                    Verify::Freivalds { .. } if i == 0 => Verify::Full,
+                    other => other,
+                };
+                kernel.run_on(cfg.n, &machine, cfg.seed, verify).unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         for verify in [Verify::Full, Verify::Freivalds { rounds: 2 }] {
             let cfg = SweepConfig::pow2(32, 5, 10, 9).with_verify(verify);
-            let serial = intensity_sweep(&MatMul, &cfg).unwrap();
-            let par = intensity_sweep_par(&MatMul, &cfg).unwrap();
-            assert_eq!(serial.points.len(), par.points.len());
-            for (s, p) in serial.points.iter().zip(&par.points) {
-                assert_eq!(s.memory.to_bits(), p.memory.to_bits());
-                assert_eq!(s.ratio.to_bits(), p.ratio.to_bits());
+            let par = sweep(&MatMul, &cfg).unwrap();
+            let serial = reference_runs(&MatMul, &cfg, &[]);
+            assert_eq!(serial.len(), par.points.len());
+            for (s, p) in serial.iter().zip(&par.points) {
+                assert_eq!((s.m as f64).to_bits(), p.memory.to_bits());
+                assert_eq!(s.intensity().to_bits(), p.ratio.to_bits());
             }
-            assert_eq!(serial.runs, par.runs);
+            assert_eq!(serial, par.runs);
         }
     }
 
@@ -1711,8 +1564,8 @@ mod tests {
         // Verification mode must not change what is measured, only how the
         // output is checked.
         let base = SweepConfig::pow2(48, 5, 9, 4);
-        let full = intensity_sweep(&MatMul, &base).unwrap();
-        let cheap = intensity_sweep(
+        let full = sweep(&MatMul, &base).unwrap();
+        let cheap = sweep(
             &MatMul,
             &base.clone().with_verify(Verify::Freivalds { rounds: 1 }),
         )
@@ -1728,7 +1581,10 @@ mod tests {
             x * 2
         });
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(par_map::<usize, usize, _>(&[], |_, &x| x), Vec::<usize>::new());
+        assert_eq!(
+            par_map::<usize, usize, _>(&[], |_, &x| x),
+            Vec::<usize>::new()
+        );
     }
 
     /// A kernel that fails at every memory size, each failure naming its
@@ -1775,18 +1631,13 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        for result in [
-            intensity_sweep(&AlwaysFails, &cfg),
-            intensity_sweep_par(&AlwaysFails, &cfg),
-        ] {
-            match result {
-                Err(KernelError::BadParameters { reason }) => {
-                    // First *eligible* point in sweep order, not the
-                    // smallest m and not whichever worker finished first.
-                    assert_eq!(reason, "injected failure at m=64");
-                }
-                other => panic!("expected the m=64 failure, got {other:?}"),
+        match sweep(&AlwaysFails, &cfg) {
+            Err(KernelError::BadParameters { reason }) => {
+                // First *eligible* point in sweep order, not the smallest
+                // m and not whichever worker finished first.
+                assert_eq!(reason, "injected failure at m=64");
             }
+            other => panic!("expected the m=64 failure, got {other:?}"),
         }
     }
 
@@ -1800,7 +1651,7 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let result = intensity_sweep_par(&MatMul, &cfg).unwrap();
+        let result = sweep(&MatMul, &cfg).unwrap();
         assert!(result.points.is_empty());
     }
 
@@ -1813,8 +1664,8 @@ mod tests {
     #[test]
     fn hierarchy_sweep_with_no_outer_levels_is_intensity_sweep() {
         let cfg = SweepConfig::pow2(32, 5, 9, 11);
-        let flat = intensity_sweep(&MatMul, &cfg).unwrap();
-        let hier = hierarchy_sweep(&MatMul, &cfg, &[]).unwrap();
+        let flat = sweep(&MatMul, &cfg).unwrap();
+        let hier = executed(&MatMul, &cfg, &[]).unwrap();
         assert_eq!(flat.runs, hier.runs);
     }
 
@@ -1822,7 +1673,7 @@ mod tests {
     fn hierarchy_sweep_reports_inclusive_per_level_traffic() {
         let cfg = SweepConfig::pow2(24, 5, 8, 3);
         let outer = outer_levels(&[1024, 4096]);
-        let result = hierarchy_sweep(&MatMul, &cfg, &outer).unwrap();
+        let result = executed(&MatMul, &cfg, &outer).unwrap();
         assert!(!result.runs.is_empty());
         for run in &result.runs {
             assert_eq!(run.execution.cost.level_count(), 3, "m = {}", run.m);
@@ -1840,8 +1691,8 @@ mod tests {
         // The outer levels only observe; the PE-port measurement (and thus
         // every DataPoint) is identical to the flat sweep.
         let cfg = SweepConfig::pow2(24, 5, 8, 3);
-        let flat = intensity_sweep(&MatMul, &cfg).unwrap();
-        let hier = hierarchy_sweep(&MatMul, &cfg, &outer_levels(&[4096])).unwrap();
+        let flat = sweep(&MatMul, &cfg).unwrap();
+        let hier = executed(&MatMul, &cfg, &outer_levels(&[4096])).unwrap();
         assert_eq!(flat.points.len(), hier.points.len());
         for (f, h) in flat.points.iter().zip(&hier.points) {
             assert_eq!(f.memory.to_bits(), h.memory.to_bits());
@@ -1853,9 +1704,8 @@ mod tests {
     fn hierarchy_sweep_par_is_bit_identical_to_serial() {
         let cfg = SweepConfig::pow2(24, 5, 9, 5);
         let outer = outer_levels(&[2048]);
-        let serial = hierarchy_sweep(&MatMul, &cfg, &outer).unwrap();
-        let par = hierarchy_sweep_par(&MatMul, &cfg, &outer).unwrap();
-        assert_eq!(serial.runs, par.runs);
+        let par = executed(&MatMul, &cfg, &outer).unwrap();
+        assert_eq!(reference_runs(&MatMul, &cfg, &outer), par.runs);
     }
 
     #[test]
@@ -1868,7 +1718,7 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let result = hierarchy_sweep(&MatMul, &cfg, &outer_levels(&[128])).unwrap();
+        let result = executed(&MatMul, &cfg, &outer_levels(&[128])).unwrap();
         let ms: Vec<usize> = result.runs.iter().map(|r| r.m).collect();
         assert_eq!(ms, vec![16, 64]);
     }
@@ -1883,22 +1733,32 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let replay = capacity_sweep(&MatMul, &cfg).unwrap();
+        let replay = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let onepass =
-            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
+            capacity_sweep_par(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
         assert_eq!(replay.runs, onepass.runs);
         assert_eq!(replay.points.len(), 6);
         for (r, o) in replay.points.iter().zip(&onepass.points) {
             assert_eq!(r.memory.to_bits(), o.memory.to_bits());
             assert_eq!(r.ratio.to_bits(), o.ratio.to_bits());
         }
-        // The parallel executor matches both.
-        let par = capacity_sweep_par(&MatMul, &cfg).unwrap();
-        assert_eq!(replay.runs, par.runs);
+        // Both match one plain LruCache replay per capacity.
+        let trace_misses = |m: usize| {
+            let trace = MatMul.access_trace(12).unwrap();
+            LruCache::with_address_bound(m, 1, trace.addr_bound()).run_trace(trace.into_addrs())
+        };
+        for run in &replay.runs {
+            assert_eq!(
+                run.execution.cost.io_words(),
+                trace_misses(run.m),
+                "m = {}",
+                run.m
+            );
+        }
         // The segmented parallel engine is bit-identical too, at any
         // thread count (including auto and absurd oversubscription).
         for threads in [0usize, 1, 3, 7, 64] {
-            let seg = capacity_sweep(
+            let seg = capacity_sweep_par(
                 &MatMul,
                 &cfg.clone().with_engine(Engine::StackDistPar { threads }),
             )
@@ -1906,9 +1766,11 @@ mod tests {
             assert_eq!(replay.runs, seg.runs, "threads = {threads}");
         }
         // Sampling at shift 0 keeps every address: exact degenerate.
-        let sampled =
-            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::Sampled { shift: 0 }))
-                .unwrap();
+        let sampled = capacity_sweep_par(
+            &MatMul,
+            &cfg.clone().with_engine(Engine::Sampled { shift: 0 }),
+        )
+        .unwrap();
         assert_eq!(replay.runs, sampled.runs);
     }
 
@@ -1922,16 +1784,22 @@ mod tests {
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let exact = capacity_sweep(&MatMul, &cfg).unwrap();
-        let sampled =
-            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::Sampled { shift: 2 }))
-                .unwrap();
+        let exact = capacity_sweep_par(&MatMul, &cfg).unwrap();
+        let sampled = capacity_sweep_par(
+            &MatMul,
+            &cfg.clone().with_engine(Engine::Sampled { shift: 2 }),
+        )
+        .unwrap();
         assert_eq!(exact.runs.len(), sampled.runs.len());
         let total = 3u64 * 16 * 16 * 16;
         for (e, s) in exact.runs.iter().zip(&sampled.runs) {
             // Miss-ratio error at rate 1/4 on the dense matmul trace
             // stays small (empirical bound with wide slack).
-            let diff = e.execution.cost.io_words().abs_diff(s.execution.cost.io_words());
+            let diff = e
+                .execution
+                .cost
+                .io_words()
+                .abs_diff(s.execution.cost.io_words());
             assert!(
                 (diff as f64) / (total as f64) < 0.2,
                 "m = {}: exact {} vs sampled {}",
@@ -1942,38 +1810,48 @@ mod tests {
         }
     }
 
+    /// A cache-model config at `n` over `memories`.
+    fn cache_cfg(n: usize, memories: Vec<usize>) -> SweepConfig {
+        SweepConfig {
+            n,
+            memories,
+            measure: Measure::CacheModel,
+            ..SweepConfig::default()
+        }
+    }
+
     #[test]
     fn engine_auto_for_escalates_on_trace_length() {
-        assert_eq!(Engine::auto_for(8, 1 << 20), Engine::StackDist);
+        let long = 1 << 21;
+        assert!(crate::fft::Fft.access_trace(long).unwrap().len() >= AUTO_SEGMENT_LEN);
+        let auto = |n: usize, memories: Vec<usize>| {
+            Engine::resolve(None, &crate::fft::Fft, &cache_cfg(n, memories)).unwrap()
+        };
+        assert_eq!(auto(1 << 10, vec![64, 128, 256, 512]), Engine::StackDist);
         assert_eq!(
-            Engine::auto_for(8, AUTO_SEGMENT_LEN),
+            auto(long, vec![64, 128, 256, 512]),
             Engine::StackDistPar { threads: 0 }
         );
         // Few points: replay stays cheapest regardless of length.
-        assert_eq!(Engine::auto_for(2, 1 << 40), Engine::Replay);
+        assert_eq!(auto(long, vec![64, 128]), Engine::Replay);
     }
 
     #[test]
     fn engine_auto_for_kernel_grows_the_analytic_tier() {
+        let many: Vec<usize> = (0..16).map(|i| 16 << i).collect();
+        let auto = |kernel: &dyn Kernel, n: usize, memories: &[usize]| {
+            Engine::resolve(None, kernel, &cache_cfg(n, memories.to_vec())).unwrap()
+        };
         // Kernels with a derived histogram get it at any point count —
         // exact and free beats everything.
-        assert_eq!(Engine::auto_for_kernel(16, &MatMul, 8), Engine::Analytic);
-        assert_eq!(Engine::auto_for_kernel(2, &MatMul, 8), Engine::Analytic);
+        assert_eq!(auto(&MatMul, 8, &many), Engine::Analytic);
+        assert_eq!(auto(&MatMul, 8, &many[..2]), Engine::Analytic);
         // Without one (fft), selection falls back to the trace-length
         // escalation...
-        assert_eq!(
-            Engine::auto_for_kernel(16, &crate::fft::Fft, 8),
-            Engine::StackDist
-        );
+        assert_eq!(auto(&crate::fft::Fft, 8, &many), Engine::StackDist);
         // ...and to the point-count rule when there is no trace either.
-        assert_eq!(
-            Engine::auto_for_kernel(16, &crate::fft::Fft, 9),
-            Engine::StackDist
-        );
-        assert_eq!(
-            Engine::auto_for_kernel(2, &crate::fft::Fft, 9),
-            Engine::Replay
-        );
+        assert_eq!(auto(&crate::fft::Fft, 9, &many), Engine::StackDist);
+        assert_eq!(auto(&crate::fft::Fft, 9, &many[..2]), Engine::Replay);
     }
 
     #[test]
@@ -1986,13 +1864,13 @@ mod tests {
             engine: Engine::Analytic,
             ..SweepConfig::default()
         };
-        let analytic = capacity_sweep(&MatMul, &cfg).unwrap();
+        let analytic = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let onepass =
-            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
+            capacity_sweep_par(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
         assert_eq!(analytic.runs, onepass.runs);
         // A kernel without a derivation is the documented parameter error,
         // naming the kernel — never a silent fallback.
-        let err = capacity_sweep(&crate::fft::Fft, &cfg).unwrap_err();
+        let err = capacity_sweep_par(&crate::fft::Fft, &cfg).unwrap_err();
         match err {
             KernelError::BadParameters { reason } => {
                 assert!(reason.contains("fft"), "got: {reason}");
@@ -2029,12 +1907,10 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(2));
-        let replay = capacity_sweep(&MatMul, &cfg).unwrap();
+        let replay = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let onepass =
-            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
+            capacity_sweep_par(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
         assert_eq!(replay.runs, onepass.runs);
-        let par = capacity_sweep_par(&MatMul, &cfg).unwrap();
-        assert_eq!(replay.runs, par.runs);
         // A device run carries the dual ledger: the scalar view is the
         // sum of the streams, and matmul's C stores make the ledger
         // genuinely non-empty.
@@ -2061,8 +1937,8 @@ mod tests {
             ..SweepConfig::default()
         };
         let device_cfg = word_cfg.clone().with_traffic(TrafficModel::device(1));
-        let word = capacity_sweep(&MatMul, &word_cfg).unwrap();
-        let device = capacity_sweep(&MatMul, &device_cfg).unwrap();
+        let word = capacity_sweep_par(&MatMul, &word_cfg).unwrap();
+        let device = capacity_sweep_par(&MatMul, &device_cfg).unwrap();
         assert_eq!(word.runs.len(), device.runs.len());
         for (w, d) in word.runs.iter().zip(&device.runs) {
             assert_eq!(w.execution.cost.io_at(0), d.execution.cost.read_at(0));
@@ -2083,8 +1959,8 @@ mod tests {
             line_words: 4,
             writebacks: false,
         });
-        let onepass = capacity_sweep(&MatMul, &cfg).unwrap();
-        let replay = capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::Replay)).unwrap();
+        let onepass = capacity_sweep_par(&MatMul, &cfg).unwrap();
+        let replay = capacity_sweep_par(&MatMul, &cfg.clone().with_engine(Engine::Replay)).unwrap();
         assert_eq!(onepass.runs, replay.runs);
         for run in &onepass.runs {
             assert_eq!(run.execution.cost.writeback_at(0), Some(0));
@@ -2110,26 +1986,22 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(4));
-        let fell_back = capacity_sweep(&MatMul, &cfg).unwrap();
+        let fell_back = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let onepass =
-            capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
+            capacity_sweep_par(&MatMul, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
         assert_eq!(fell_back.runs, onepass.runs);
         // Auto-selection never steers a device sweep into the tiers that
         // would refuse (or misprice) it.
         let device = TrafficModel::device(4);
+        let auto = |cfg: SweepConfig| Engine::resolve(None, &MatMul, &cfg).unwrap();
+        let many = cache_cfg(12, vec![16, 64, 256, 1024]);
+        assert_eq!(auto(many.clone().with_traffic(device)), Engine::StackDist);
         assert_eq!(
-            Engine::auto_for_model(16, &MatMul, 12, device),
-            Engine::StackDist
-        );
-        assert_eq!(
-            Engine::auto_for_model(2, &MatMul, 12, device),
+            auto(cache_cfg(12, vec![16, 64]).with_traffic(device)),
             Engine::Replay
         );
-        // Under the word model it is exactly auto_for_kernel.
-        assert_eq!(
-            Engine::auto_for_model(16, &MatMul, 12, TrafficModel::WORD),
-            Engine::Analytic
-        );
+        // Under the word model the closed form wins.
+        assert_eq!(auto(many), Engine::Analytic);
     }
 
     #[test]
@@ -2146,7 +2018,7 @@ mod tests {
                 ..SweepConfig::default()
             }
             .with_traffic(TrafficModel::device(2));
-            let err = capacity_sweep(&MatMul, &cfg).unwrap_err();
+            let err = capacity_sweep_par(&MatMul, &cfg).unwrap_err();
             match err {
                 KernelError::BadParameters { reason } => {
                     assert!(reason.contains("word-granular"), "got: {reason}");
@@ -2170,12 +2042,12 @@ mod tests {
             .with_traffic(TrafficModel::device(2))
             .with_budget(Budget::unlimited());
         assert!(matches!(
-            capacity_sweep(&MatMul, &budgeted),
+            capacity_sweep_par(&MatMul, &budgeted),
             Err(KernelError::BadParameters { .. })
         ));
         for bad_line in [0u64, 3, 12] {
             let cfg = base.clone().with_traffic(TrafficModel::device(bad_line));
-            let err = capacity_sweep(&MatMul, &cfg).unwrap_err();
+            let err = capacity_sweep_par(&MatMul, &cfg).unwrap_err();
             assert!(
                 matches!(&err, KernelError::BadParameters { reason }
                     if reason.contains("power of two")),
@@ -2193,7 +2065,7 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(4));
-        let result = capacity_sweep(&MatMul, &cfg).unwrap();
+        let result = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let ms: Vec<usize> = result.runs.iter().map(|r| r.m).collect();
         assert_eq!(ms, vec![4, 8, 64], "a cache must hold at least one line");
     }
@@ -2211,13 +2083,10 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(4));
-        let replay = hierarchy_capacity_sweep(&MatMul, &cfg, &outer).unwrap();
+        let replay = cache_model(&MatMul, &cfg, &outer).unwrap();
         let onepass =
-            hierarchy_capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &outer)
-                .unwrap();
+            cache_model(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &outer).unwrap();
         assert_eq!(replay.runs, onepass.runs);
-        let par = hierarchy_capacity_sweep_par(&MatMul, &cfg, &outer).unwrap();
-        assert_eq!(replay.runs, par.runs);
     }
 
     #[test]
@@ -2238,15 +2107,14 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_traffic(TrafficModel::device(2));
-        let err = hierarchy_capacity_sweep(&MatMul, &cfg, &outer).unwrap_err();
+        let err = cache_model(&MatMul, &cfg, &outer).unwrap_err();
         assert!(
             matches!(&err, KernelError::BadParameters { reason }
                 if reason.contains("uniform line size")),
             "{err}"
         );
         let replayed =
-            hierarchy_capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::Replay), &outer)
-                .unwrap();
+            cache_model(&MatMul, &cfg.clone().with_engine(Engine::Replay), &outer).unwrap();
         assert_eq!(replayed.runs.len(), 3);
         for run in &replayed.runs {
             let cost = &run.execution.cost;
@@ -2270,8 +2138,8 @@ mod tests {
             engine: Engine::Replay,
             ..SweepConfig::default()
         };
-        let word = hierarchy_capacity_sweep(&MatMul, &cfg, &plain).unwrap();
-        let device = hierarchy_capacity_sweep(&MatMul, &cfg, &lined).unwrap();
+        let word = cache_model(&MatMul, &cfg, &plain).unwrap();
+        let device = cache_model(&MatMul, &cfg, &lined).unwrap();
         assert_eq!(word.runs.len(), device.runs.len());
         for (w, d) in word.runs.iter().zip(&device.runs) {
             // The outer boundary now transfers whole 8-word lines...
@@ -2283,12 +2151,8 @@ mod tests {
         }
         // The one-pass engine refuses the mixed-granularity ladder (word
         // local under an 8-word outer line) instead of mispricing it.
-        let err = hierarchy_capacity_sweep(
-            &MatMul,
-            &cfg.clone().with_engine(Engine::StackDist),
-            &lined,
-        )
-        .unwrap_err();
+        let err =
+            cache_model(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &lined).unwrap_err();
         assert!(
             matches!(&err, KernelError::BadParameters { reason }
                 if reason.contains("uniform line size")),
@@ -2306,23 +2170,18 @@ mod tests {
             .with_line_words(4)
             .unwrap()];
         let cfg = SweepConfig::pow2(12, 5, 8, 0).with_verify(Verify::None);
-        for result in [
-            hierarchy_sweep(&MatMul, &cfg, &lined),
-            hierarchy_sweep_par(&MatMul, &cfg, &lined),
-        ] {
-            let err = result.unwrap_err();
-            assert!(
-                matches!(&err, KernelError::BadParameters { reason }
-                    if reason.contains("device-real") && reason.contains("level 2")),
-                "{err}"
-            );
-        }
+        let err = executed(&MatMul, &cfg, &lined).unwrap_err();
+        assert!(
+            matches!(&err, KernelError::BadParameters { reason }
+                if reason.contains("device-real") && reason.contains("level 2")),
+            "{err}"
+        );
         // A split write channel alone is just as device-real.
         let priced = vec![LevelSpec::new(Words::new(4096), WordsPerSec::new(1.0))
             .unwrap()
             .with_write_bandwidth(WordsPerSec::new(0.5))
             .unwrap()];
-        assert!(hierarchy_sweep(&MatMul, &cfg, &priced).is_err());
+        assert!(executed(&MatMul, &cfg, &priced).is_err());
     }
 
     #[test]
@@ -2342,21 +2201,124 @@ mod tests {
             max_resident_bytes: Some(1),
             max_wall: None,
         });
-        let (profile, prov) =
-            robust_capacity_profile(&MatMul, &cfg, &FaultPlan::none()).unwrap();
+        let (profile, prov) = robust_capacity_profile(&MatMul, &cfg, &FaultPlan::none()).unwrap();
         assert_eq!(prov.requested, Engine::Analytic);
         assert_eq!(prov.used, Engine::Analytic);
         assert!(prov.steps.is_empty());
         assert!(profile.is_exact());
         assert_eq!(profile, exact_matmul_profile(16));
         // And the budgeted sweep path reports the same provenance.
-        let swept = capacity_sweep(&MatMul, &cfg).unwrap();
+        let swept = capacity_sweep_par(&MatMul, &cfg).unwrap();
         assert_eq!(swept.provenance.unwrap().used, Engine::Analytic);
     }
 
     #[test]
     fn analytic_engine_spec_round_trips() {
         assert_eq!(engine_spec(Engine::Analytic), "analytic");
+    }
+
+    #[test]
+    fn every_engine_spec_parses_back() {
+        for engine in [
+            Engine::Replay,
+            Engine::StackDist,
+            Engine::StackDistPar { threads: 0 },
+            Engine::StackDistPar { threads: 6 },
+            Engine::Sampled { shift: 0 },
+            Engine::Sampled {
+                shift: MAX_SAMPLE_SHIFT,
+            },
+            Engine::Analytic,
+        ] {
+            assert_eq!(Engine::parse(&engine_spec(engine)), Ok(Some(engine)));
+        }
+        assert_eq!(Engine::parse("auto"), Ok(None));
+    }
+
+    #[test]
+    fn resolve_table_covers_every_request() {
+        let fft = crate::fft::Fft;
+        let (mm_long, fft_long) = (512, 1 << 21);
+        for (kernel, short, long) in [(&MatMul as &dyn Kernel, 8, mm_long), (&fft, 8, fft_long)] {
+            assert!(kernel.access_trace(short).unwrap().len() < AUTO_SEGMENT_LEN);
+            assert!(kernel.access_trace(long).unwrap().len() >= AUTO_SEGMENT_LEN);
+        }
+        let cases: [(&dyn Kernel, usize); 4] = [
+            (&MatMul, 8),
+            (&MatMul, mm_long),
+            (&fft, 8),
+            (&fft, fft_long),
+        ];
+        // (request, device model, budget) → the engine for matmul (closed
+        // form) short and long, then fft (none) short and long.
+        let table: &[(&str, bool, bool, [&str; 4])] = &[
+            (
+                "auto",
+                false,
+                false,
+                ["analytic", "analytic", "stackdist", "stackdist-par"],
+            ),
+            ("replay", false, false, ["replay"; 4]),
+            ("stackdist", false, false, ["stackdist"; 4]),
+            ("stackdist-par:2", false, false, ["stackdist-par:2"; 4]),
+            ("sampled:4", false, false, ["sampled:4"; 4]),
+            (
+                "analytic",
+                false,
+                false,
+                ["analytic", "analytic", "err", "err"],
+            ),
+            (
+                "auto",
+                false,
+                true,
+                ["analytic", "analytic", "stackdist", "stackdist-par"],
+            ),
+            ("replay", false, true, ["stackdist"; 4]),
+            ("stackdist", false, true, ["stackdist"; 4]),
+            ("stackdist-par:2", false, true, ["stackdist-par:2"; 4]),
+            ("sampled:4", false, true, ["sampled:4"; 4]),
+            (
+                "analytic",
+                false,
+                true,
+                ["analytic", "analytic", "err", "err"],
+            ),
+            ("auto", true, false, ["stackdist"; 4]),
+            ("replay", true, false, ["replay"; 4]),
+            ("stackdist", true, false, ["stackdist"; 4]),
+            ("stackdist-par:2", true, false, ["err"; 4]),
+            ("sampled:4", true, false, ["err"; 4]),
+            ("analytic", true, false, ["stackdist"; 4]),
+            ("auto", true, true, ["err"; 4]),
+            ("replay", true, true, ["err"; 4]),
+            ("stackdist", true, true, ["err"; 4]),
+            ("stackdist-par:2", true, true, ["err"; 4]),
+            ("sampled:4", true, true, ["err"; 4]),
+            ("analytic", true, true, ["err"; 4]),
+        ];
+        for &(request, device, budgeted, want) in table {
+            for (&(kernel, n), want) in cases.iter().zip(want) {
+                let mut cfg = cache_cfg(n, (6..14).map(|k| 1 << k).collect());
+                if device {
+                    cfg = cfg.with_traffic(TrafficModel::device(8));
+                }
+                if budgeted {
+                    cfg = cfg.with_budget(Budget::unlimited());
+                }
+                let got = match Engine::resolve(Engine::parse(request).unwrap(), kernel, &cfg) {
+                    Ok(engine) => engine_spec(engine),
+                    Err(KernelError::BadParameters { .. }) => "err".to_string(),
+                    Err(other) => panic!("untyped refusal: {other}"),
+                };
+                assert_eq!(
+                    got,
+                    want,
+                    "{request} for {} n = {n}, device {device}, budget {budgeted}",
+                    kernel.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -2373,9 +2335,15 @@ mod tests {
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let result = capacity_sweep(&MatMul, &cfg).unwrap();
-        assert_eq!(result.runs[0].execution.cost.io_words(), 3 * (n as u64).pow(2));
-        assert_eq!(result.runs[0].execution.cost.comp_ops(), 2 * (n as u64).pow(3));
+        let result = capacity_sweep_par(&MatMul, &cfg).unwrap();
+        assert_eq!(
+            result.runs[0].execution.cost.io_words(),
+            3 * (n as u64).pow(2)
+        );
+        assert_eq!(
+            result.runs[0].execution.cost.comp_ops(),
+            2 * (n as u64).pow(3)
+        );
     }
 
     #[test]
@@ -2388,10 +2356,16 @@ mod tests {
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let flat = capacity_sweep(&MatMul, &cfg).unwrap();
-        assert_eq!(flat.runs.iter().map(|r| r.m).collect::<Vec<_>>(), vec![4, 128, 512]);
-        let hier = hierarchy_capacity_sweep(&MatMul, &cfg, &outer_levels(&[256])).unwrap();
-        assert_eq!(hier.runs.iter().map(|r| r.m).collect::<Vec<_>>(), vec![4, 128]);
+        let flat = capacity_sweep_par(&MatMul, &cfg).unwrap();
+        assert_eq!(
+            flat.runs.iter().map(|r| r.m).collect::<Vec<_>>(),
+            vec![4, 128, 512]
+        );
+        let hier = cache_model(&MatMul, &cfg, &outer_levels(&[256])).unwrap();
+        assert_eq!(
+            hier.runs.iter().map(|r| r.m).collect::<Vec<_>>(),
+            vec![4, 128]
+        );
         for run in &hier.runs {
             assert_eq!(run.execution.cost.level_count(), 2);
             assert!(run.execution.cost.traffic().is_monotone_non_increasing());
@@ -2409,13 +2383,22 @@ mod tests {
             ..SweepConfig::default()
         };
         let outer = outer_levels(&[256, 1024]);
-        let replay = hierarchy_capacity_sweep(&MatMul, &cfg, &outer).unwrap();
+        let replay = cache_model(&MatMul, &cfg, &outer).unwrap();
         let onepass =
-            hierarchy_capacity_sweep(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &outer)
-                .unwrap();
+            cache_model(&MatMul, &cfg.clone().with_engine(Engine::StackDist), &outer).unwrap();
         assert_eq!(replay.runs, onepass.runs);
-        let par = hierarchy_capacity_sweep_par(&MatMul, &cfg, &outer).unwrap();
-        assert_eq!(replay.runs, par.runs);
+        // Both match one plain Hierarchy replay per capacity.
+        for run in &replay.runs {
+            let trace = MatMul.access_trace(10).unwrap();
+            let caps = [Words::new(run.m as u64), Words::new(256), Words::new(1024)];
+            let traffic = Hierarchy::new(&caps).run_trace(trace.into_addrs());
+            assert_eq!(
+                run.execution.cost.traffic().as_slice(),
+                traffic.as_slice(),
+                "m = {}",
+                run.m
+            );
+        }
     }
 
     #[test]
@@ -2428,7 +2411,7 @@ mod tests {
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let err = capacity_sweep(&AlwaysFails, &cfg).unwrap_err();
+        let err = capacity_sweep_par(&AlwaysFails, &cfg).unwrap_err();
         assert!(
             matches!(&err, KernelError::BadParameters { reason }
                 if reason.contains("no canonical access trace")),
@@ -2438,20 +2421,28 @@ mod tests {
 
     #[test]
     fn engine_auto_switches_at_four_points() {
-        assert_eq!(Engine::auto(0), Engine::Replay);
-        assert_eq!(Engine::auto(3), Engine::Replay);
-        assert_eq!(Engine::auto(4), Engine::StackDist);
-        assert_eq!(Engine::auto(16), Engine::StackDist);
-        // pow2 wires it through.
-        assert_eq!(SweepConfig::pow2(8, 5, 6, 0).engine, Engine::Replay);
-        assert_eq!(SweepConfig::pow2(8, 5, 12, 0).engine, Engine::StackDist);
+        let fft = crate::fft::Fft;
+        let auto = |points: usize, outer: &[LevelSpec]| {
+            let cfg = SweepConfig {
+                outer: outer.to_vec(),
+                ..cache_cfg(8, (0..points).map(|i| 16 << i).collect())
+            };
+            Engine::resolve(None, &fft, &cfg).unwrap()
+        };
+        assert_eq!(auto(3, &[]), Engine::Replay);
+        assert_eq!(auto(4, &[]), Engine::StackDist);
+        assert_eq!(auto(16, &[]), Engine::StackDist);
+        // Every boundary is a capacity read: 2 memories over one outer
+        // level are 4 reads.
+        assert_eq!(auto(2, &outer_levels(&[1 << 20])), Engine::StackDist);
+        // No memories asks for the whole curve, which only a profile
+        // engine gives.
+        assert_eq!(auto(0, &[]), Engine::StackDist);
     }
 
     fn tmp_policy(tag: &str, every: u64) -> CheckpointPolicy {
-        let dir = std::env::temp_dir().join(format!(
-            "balance-sweep-ckpt-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("balance-sweep-ckpt-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointPolicy::every(dir, every)
     }
@@ -2470,10 +2461,10 @@ mod tests {
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let plain = capacity_sweep(&MatMul, &cfg).unwrap();
+        let plain = capacity_sweep_par(&MatMul, &cfg).unwrap();
         assert!(plain.provenance.is_none());
         let roomy = Budget::unlimited().with_max_resident_bytes(1 << 30);
-        let budgeted = capacity_sweep(&MatMul, &cfg.clone().with_budget(roomy)).unwrap();
+        let budgeted = capacity_sweep_par(&MatMul, &cfg.clone().with_budget(roomy)).unwrap();
         assert_eq!(plain.runs, budgeted.runs);
         let prov = budgeted.provenance.unwrap();
         assert!(!prov.degraded());
@@ -2494,7 +2485,7 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_budget(budget);
-        let result = capacity_sweep(&MatMul, &cfg).unwrap();
+        let result = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let prov = result.provenance.clone().unwrap();
         assert!(prov.degraded());
         assert!(matches!(prov.used, Engine::Sampled { .. }), "{prov:?}");
@@ -2517,7 +2508,7 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_budget(budget);
-        let result = capacity_sweep(&MatMul, &cfg).unwrap();
+        let result = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let prov = result.provenance.unwrap();
         assert_eq!(prov.used, Engine::Sampled { shift: 8 }, "{prov:?}");
         assert!(prov
@@ -2535,7 +2526,7 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_budget(Budget::unlimited().with_max_resident_bytes(8));
-        let err = capacity_sweep(&MatMul, &cfg).unwrap_err();
+        let err = capacity_sweep_par(&MatMul, &cfg).unwrap_err();
         assert!(matches!(err, KernelError::BudgetExhausted { .. }), "{err}");
     }
 
@@ -2554,7 +2545,7 @@ mod tests {
             ..SweepConfig::default()
         }
         .with_budget(Budget::unlimited().with_max_wall(std::time::Duration::ZERO));
-        let result = capacity_sweep(&MatMul, &cfg).unwrap();
+        let result = capacity_sweep_par(&MatMul, &cfg).unwrap();
         let prov = result.provenance.unwrap();
         assert_eq!(
             prov.used,
@@ -2687,7 +2678,7 @@ mod tests {
             ..SweepConfig::default()
         };
         // Outer capacities must grow: 4096 then 1024 is rejected.
-        let err = hierarchy_sweep(&MatMul, &cfg, &outer_levels(&[4096, 1024])).unwrap_err();
+        let err = executed(&MatMul, &cfg, &outer_levels(&[4096, 1024])).unwrap_err();
         assert!(matches!(err, KernelError::BadParameters { .. }), "{err}");
         // ... even when no sweep point survives the eligibility filter
         // (the ladder is validated up front, not per point).
@@ -2700,8 +2691,8 @@ mod tests {
             ..SweepConfig::default()
         };
         for result in [
-            hierarchy_sweep(&MatMul, &empty_cfg, &outer_levels(&[4096, 1024])),
-            hierarchy_sweep_par(&MatMul, &empty_cfg, &outer_levels(&[4096, 1024])),
+            executed(&MatMul, &empty_cfg, &outer_levels(&[4096, 1024])),
+            cache_model(&MatMul, &empty_cfg, &outer_levels(&[4096, 1024])),
         ] {
             assert!(matches!(result, Err(KernelError::BadParameters { .. })));
         }

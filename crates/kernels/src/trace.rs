@@ -2,7 +2,7 @@
 //! of each computation, as a streamed iterator of read/write-tagged
 //! accesses.
 //!
-//! The one-pass capacity sweeps ([`crate::sweep::capacity_sweep`]) measure
+//! Cache-model sweeps ([`crate::sweep::Measure::CacheModel`]) measure
 //! the *cache-model* intensity curve of a computation: its canonical trace
 //! replayed through an automatically managed LRU memory of capacity `M`,
 //! for every `M` at once. That needs each kernel to name its trace — the

@@ -62,9 +62,8 @@ impl KernelRun {
 ///   performed, at every boundary of the hierarchy.
 ///
 /// Implementations must be [`Sync`]: kernels take `&self` and own their
-/// `Pe`/`ExternalStore` per run, so the parallel sweep executor
-/// ([`crate::sweep::intensity_sweep_par`]) shares one kernel across worker
-/// threads.
+/// `Pe`/`ExternalStore` per run, so [`crate::sweep::sweep`] shares one
+/// kernel across its worker threads.
 pub trait Kernel: Sync {
     /// Short identifier (e.g. `"matmul"`).
     fn name(&self) -> &'static str;
@@ -140,8 +139,8 @@ pub trait Kernel: Sync {
     /// The kernel's **canonical access trace** at problem size `n`: the
     /// natural (unblocked) algorithm's word-address sequence, streamed.
     ///
-    /// This is what the one-pass capacity sweeps
-    /// ([`crate::sweep::capacity_sweep`]) replay: the cache-model
+    /// This is what a cache-model sweep
+    /// ([`crate::sweep::Measure::CacheModel`]) replays: the cache-model
     /// intensity curve — the trace through an automatically managed LRU of
     /// capacity `M` — read off for every `M` from a single replay. It is
     /// the measurement the E13 ablation contrasts with the explicit

@@ -4,6 +4,7 @@
 
 use balance_core::{HierarchySpec, IntensityModel, LevelSpec, Words, WordsPerSec};
 use balance_kernels::prelude::*;
+use balance_machine::LruCache;
 use proptest::prelude::*;
 
 proptest! {
@@ -195,24 +196,38 @@ proptest! {
         prop_assert_eq!(lu_full, lu_cheap);
     }
 
-    /// The parallel sweep executor is bit-identical to the serial one for
-    /// arbitrary configs (same points, same order, same anchor).
+    /// The executed sweep, fanned out over the cores, is bit-identical to
+    /// a plain serial loop of `run_on` calls for arbitrary configs (same
+    /// points, same order, same anchor).
     #[test]
     fn parallel_sweep_matches_serial(n in 4usize..24, seed in 0u64..20, hi in 6u32..10) {
         let cfg = SweepConfig::pow2(n, 2, hi, seed).with_verify(Verify::auto(n));
-        let serial = intensity_sweep(&MatMul, &cfg).unwrap();
-        let par = intensity_sweep_par(&MatMul, &cfg).unwrap();
-        prop_assert_eq!(serial.runs, par.runs);
-        for (s, p) in serial.points.iter().zip(&par.points) {
-            prop_assert_eq!(s.memory.to_bits(), p.memory.to_bits());
-            prop_assert_eq!(s.ratio.to_bits(), p.ratio.to_bits());
+        let par = sweep(&MatMul, &cfg).unwrap();
+        let serial: Vec<KernelRun> = cfg
+            .memories
+            .iter()
+            .filter(|&&m| m >= MatMul.min_memory(n))
+            .enumerate()
+            .map(|(i, &m)| {
+                let verify = match cfg.verify {
+                    Verify::Freivalds { .. } if i == 0 => Verify::Full,
+                    other => other,
+                };
+                MatMul.run_on(n, &HierarchySpec::flat_words(m), seed, verify).unwrap()
+            })
+            .collect();
+        prop_assert_eq!(&serial, &par.runs);
+        for (s, p) in serial.iter().zip(&par.points) {
+            prop_assert_eq!((s.m as f64).to_bits(), p.memory.to_bits());
+            prop_assert_eq!(s.intensity().to_bits(), p.ratio.to_bits());
         }
     }
 
     /// The one-pass capacity sweep is bit-identical to the per-capacity
     /// replay — `CapacityProfile::io_at(M)` ≡ per-word `LruCache` replay
     /// misses — across the whole kernel registry (paper kernels and
-    /// extensions) at 4+ capacities, serial and parallel executors alike.
+    /// extensions) at 4+ capacities, and both match a plain serial loop of
+    /// `LruCache` replays.
     #[test]
     fn capacity_sweep_engines_bit_identical_across_registry(
         kernel_idx in 0usize..11,
@@ -228,23 +243,31 @@ proptest! {
             seed,
             verify: Verify::Full,
             engine: Engine::Replay,
+            measure: Measure::CacheModel,
             ..SweepConfig::default()
         };
-        let replay = capacity_sweep(&**kernel, &cfg).unwrap();
+        let replay = sweep(&**kernel, &cfg).unwrap();
         let onepass =
-            capacity_sweep(&**kernel, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
+            sweep(&**kernel, &cfg.clone().with_engine(Engine::StackDist)).unwrap();
         prop_assert_eq!(&replay.runs, &onepass.runs, "kernel {}", kernel.name());
         for (r, o) in replay.points.iter().zip(&onepass.points) {
             prop_assert_eq!(r.memory.to_bits(), o.memory.to_bits());
             prop_assert_eq!(r.ratio.to_bits(), o.ratio.to_bits());
         }
-        let par = capacity_sweep_par(&**kernel, &cfg).unwrap();
-        prop_assert_eq!(&replay.runs, &par.runs);
+        for run in &replay.runs {
+            let trace = kernel.access_trace(n).unwrap();
+            let mut cache = LruCache::with_address_bound(run.m, 1, trace.addr_bound());
+            let misses = cache.run_trace(trace.into_addrs());
+            prop_assert_eq!(
+                run.execution.cost.io_words(), misses,
+                "kernel {} at M = {}", kernel.name(), run.m
+            );
+        }
         // The scaled tiers hold the same contract: segmented parallel
         // Mattson is bit-identical at any thread count, and sampling at
         // rate 1 (shift 0) degenerates to the exact serial engine.
         for threads in [1usize, 3] {
-            let seg = capacity_sweep(
+            let seg = sweep(
                 &**kernel,
                 &cfg.clone().with_engine(Engine::StackDistPar { threads }),
             )
@@ -255,14 +278,14 @@ proptest! {
             );
         }
         let full_rate =
-            capacity_sweep(&**kernel, &cfg.clone().with_engine(Engine::Sampled { shift: 0 }))
+            sweep(&**kernel, &cfg.clone().with_engine(Engine::Sampled { shift: 0 }))
                 .unwrap();
         prop_assert_eq!(&replay.runs, &full_rate.runs, "kernel {}", kernel.name());
         // The zero-replay analytic tier joins the bit-identity contract
         // wherever a kernel derives a histogram (9 of the 11 at n = 8).
         if kernel.analytic_profile(n).is_some() {
             let analytic =
-                capacity_sweep(&**kernel, &cfg.clone().with_engine(Engine::Analytic)).unwrap();
+                sweep(&**kernel, &cfg.clone().with_engine(Engine::Analytic)).unwrap();
             prop_assert_eq!(&replay.runs, &analytic.runs, "kernel {}", kernel.name());
         }
         // Monotone: a bigger cache never misses more (the stack property,
@@ -293,18 +316,15 @@ proptest! {
         let cfg = SweepConfig {
             n: 8,
             memories: vec![3, 12, 48],
+            outer: outer.to_vec(),
+            measure: Measure::CacheModel,
             seed: 0,
             verify: Verify::Full,
             engine: Engine::StackDist,
             ..SweepConfig::default()
         };
-        let onepass = hierarchy_capacity_sweep(&**kernel, &cfg, &outer).unwrap();
-        let replay = hierarchy_capacity_sweep(
-            &**kernel,
-            &cfg.clone().with_engine(Engine::Replay),
-            &outer,
-        )
-        .unwrap();
+        let onepass = sweep(&**kernel, &cfg).unwrap();
+        let replay = sweep(&**kernel, &cfg.clone().with_engine(Engine::Replay)).unwrap();
         prop_assert_eq!(&onepass.runs, &replay.runs, "kernel {}", kernel.name());
         for run in &onepass.runs {
             prop_assert_eq!(run.execution.cost.level_count(), 3);
@@ -419,21 +439,22 @@ proptest! {
             seed,
             verify: Verify::None,
             engine: Engine::StackDist,
+            measure: Measure::CacheModel,
             ..SweepConfig::default()
         };
-        let word = capacity_sweep(&**kernel, &cfg).unwrap();
-        let tagged = capacity_sweep(
+        let word = sweep(&**kernel, &cfg).unwrap();
+        let tagged = sweep(
             &**kernel,
             &cfg.clone().with_traffic(TrafficModel::WORD),
         )
         .unwrap();
         prop_assert_eq!(&word.runs, &tagged.runs, "kernel {}", kernel.name());
-        let unit = capacity_sweep(
+        let unit = sweep(
             &**kernel,
             &cfg.clone().with_traffic(TrafficModel::device(1)),
         )
         .unwrap();
-        let unit_replay = capacity_sweep(
+        let unit_replay = sweep(
             &**kernel,
             &cfg.clone()
                 .with_engine(Engine::Replay)

@@ -150,7 +150,7 @@ impl Hierarchy {
     /// bound can trade that safety for the direct-indexed backend's speed
     /// by chaining [`LruCache::with_address_bound`] caches themselves —
     /// the per-word accounting cost is priced by the
-    /// `hierarchy_sweep_matmul_n96` bench.
+    /// `ladder_sweep_matmul_n96` bench.
     ///
     /// # Panics
     ///

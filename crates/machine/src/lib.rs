@@ -32,7 +32,7 @@
 //!   from which the exact LRU miss count at **every** capacity — and the
 //!   boundary traffic of every ladder — is an O(1) read. This is what
 //!   collapses capacity sweeps from one replay per memory size to one
-//!   replay total (see `balance-kernels`' `capacity_sweep`).
+//!   replay total (see `balance-kernels`' cache-model `sweep`).
 //! * [`TrafficProfile`] — the device-realistic twin: one *tagged* replay
 //!   ([`StackDistance::observe_tagged_trace`]) over read/write-tagged
 //!   accesses at line granularity records the reuse histogram **and** a

@@ -29,8 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine: Engine::Replay,
         ..SweepConfig::default()
     };
-    // The parallel executor produces bit-identical points to the serial one.
-    let result = intensity_sweep_par(&MatMul, &cfg)?;
+    // The sweep fans the points out over the cores, bit-identically to a
+    // serial loop.
+    let result = sweep(&MatMul, &cfg)?;
     println!("measured intensity of blocked {n}×{n} matmul:");
     println!("{:>8} {:>12} {:>12} {:>10}", "M", "C_comp", "C_io", "ratio");
     for run in &result.runs {

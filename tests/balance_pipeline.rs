@@ -45,7 +45,7 @@ fn pipeline_closes_the_loop_on_matmul() {
         engine: Engine::Replay,
         ..SweepConfig::default()
     };
-    let result = intensity_sweep(&MatMul, &cfg).unwrap();
+    let result = sweep(&MatMul, &cfg).unwrap();
     let fit = result.fit().unwrap();
 
     // 1. The fit predicts held-out measurements within 10%.
@@ -110,7 +110,7 @@ fn pipeline_closes_the_loop_on_matmul() {
 fn pipeline_detects_impossible_kernels() {
     let cfg = SweepConfig::pow2(48, 3, 11, 4);
     for kernel in [&MatVec as &dyn Kernel, &TriSolve] {
-        let result = intensity_sweep(kernel, &cfg).unwrap();
+        let result = sweep(kernel, &cfg).unwrap();
         let fit = result.fit().unwrap();
         assert_eq!(
             fit.best.growth_law(),
@@ -165,13 +165,13 @@ fn law_is_sweep_invariant() {
         engine: Engine::Replay,
         ..SweepConfig::default()
     };
-    let f_coarse = intensity_sweep(&MatMul, &coarse)
+    let f_coarse = sweep(&MatMul, &coarse)
         .unwrap()
         .curve()
         .unwrap()
         .empirical_rebalance(2.0, 192.0)
         .unwrap();
-    let f_fine = intensity_sweep(&MatMul, &fine)
+    let f_fine = sweep(&MatMul, &fine)
         .unwrap()
         .curve()
         .unwrap()
