@@ -6,11 +6,19 @@
 //! * `store_query_throughput` — the headline queries/s figure, appended
 //!   to the bench JSON through the same `"name": value` line protocol
 //!   as the criterion shim and E23. The PR-10 acceptance bar is ≥ 10⁵
-//!   queries/s.
+//!   queries/s. It times one `format!` and one allocating `answer` per
+//!   `io` query, as it has since PR 10, so the trajectory stays
+//!   comparable.
+//! * `store_query_throughput_mixed` — the path the `balance serve` binary
+//!   runs: `ServeSession::answer_into` into one reused buffer, over a
+//!   pre-built batch in the serve workload's verb mix (60% `io`, 20%
+//!   `intensity`, 15% `balance`, 5% `binding`), each answer written to a
+//!   buffered sink.
 //! * `store_build_registry` — median wall-clock (ns) of precomputing
 //!   the full 11-kernel registry × {16, 32} grid into a fresh store
 //!   (every image encoded, checksummed, and atomically published).
 
+use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use balance_bench::storecli::ServeSession;
@@ -59,9 +67,27 @@ fn median_of<O>(runs: usize, mut f: impl FnMut() -> O) -> Duration {
     samples[samples.len() / 2]
 }
 
+/// `lines` queries in the serve workload's verb mix — 60% `io`, 20%
+/// `intensity`, 15% `balance`, 5% `binding` — over three keys.
+fn mixed_batch(lines: usize) -> Vec<String> {
+    const KEYS: [&str; 3] = ["matmul 32", "fft 32", "sort 32"];
+    const RATIOS: [&str; 3] = ["0.5", "1.0", "2.0"];
+    (0..lines)
+        .map(|i| {
+            let key = KEYS[i % KEYS.len()];
+            let m = 16 + (i % 64) * 16;
+            match i % 20 {
+                0..=11 => format!("io {key} {m}"),
+                12..=15 => format!("intensity {key} {m}"),
+                16..=18 => format!("balance {key} {}", RATIOS[i % 20 - 16]),
+                _ => format!("binding {key} 64:1e8,4096:1e7"),
+            }
+        })
+        .collect()
+}
+
 fn append_json(line: &str) {
     if let Some(path) = std::env::var_os("BENCH_JSON") {
-        use std::io::Write as _;
         let written = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -73,7 +99,7 @@ fn append_json(line: &str) {
     }
 }
 
-/// The two headline numbers, on the same line protocol the bench-smoke
+/// The headline numbers, on the same line protocol the bench-smoke
 /// script folds into `BENCH_<n>.json`.
 fn report_headlines() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
@@ -96,6 +122,34 @@ fn report_headlines() {
          ({queries} warm io queries in {elapsed:?})"
     );
     append_json(&format!("\"store_query_throughput\": {:.0}\n", qps));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The binary's path: answer_into over a four-verb batch, one buffer.
+    let dir = tmp_dir("mixed");
+    let store = ProfileStore::open(&dir).expect("temp store opens");
+    let mut session = ServeSession::new(&store, TrafficModel::WORD, None, 1.0e9);
+    let batch = mixed_batch(if smoke { 20_000 } else { 200_000 });
+    let mut answer = String::new();
+    let mut sink = std::io::BufWriter::new(std::io::sink());
+    let mut serve_batch = || {
+        for line in &batch {
+            answer.clear();
+            if session.answer_into(line, &mut answer) {
+                answer.push('\n');
+                sink.write_all(answer.as_bytes()).expect("sink accepts");
+            }
+        }
+    };
+    // The first pass repairs the batch's keys into the empty store.
+    serve_batch();
+    let elapsed = median_of(if smoke { 3 } else { 5 }, &mut serve_batch);
+    let qps = batch.len() as f64 / elapsed.as_secs_f64();
+    println!(
+        "bench: store_query_throughput_mixed             {qps:.3e} queries/s \
+         ({} warm mixed queries in {elapsed:?})",
+        batch.len()
+    );
+    append_json(&format!("\"store_query_throughput_mixed\": {:.0}\n", qps));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Build: the full registry x grid into a fresh store each run.

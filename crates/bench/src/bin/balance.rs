@@ -4,11 +4,9 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match balance_bench::cli::dispatch(&args) {
-        Ok(out) => print!("{out}"),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let result = balance_bench::cli::dispatch(&args, &mut std::io::stdout().lock());
+    if let Err(msg) = result {
+        eprintln!("{msg}");
+        std::process::exit(2);
     }
 }

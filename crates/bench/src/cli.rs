@@ -1,9 +1,11 @@
 //! The `balance` command-line explorer: interactive access to the model.
 //!
-//! All logic lives here as pure string-producing functions so it is unit
-//! testable; `src/bin/balance.rs` is a thin argv wrapper.
+//! All logic lives here as string-producing functions (and `serve`, which
+//! streams into a writer) so it is unit testable; `src/bin/balance.rs` is a
+//! thin argv wrapper that hands [`dispatch`] the locked stdout.
 
 use std::collections::HashMap;
+use std::io::Write;
 
 use balance_core::prelude::*;
 use balance_kernels::prelude::*;
@@ -785,30 +787,48 @@ pub fn cmd_warp() -> String {
         .to_string()
 }
 
-/// Top-level dispatch; returns the output text or a usage error.
+/// Top-level dispatch: runs one command and writes its output to `out`.
 ///
 /// # Errors
 ///
-/// User-facing messages for unknown commands or bad flags.
-pub fn dispatch(args: &[String]) -> Result<String, String> {
+/// User-facing messages for unknown commands, bad flags, or a failed
+/// write (see [`output_written`]).
+pub fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage());
     };
-    if cmd == "store" {
+    let text = if cmd == "store" {
         // `store` has positional subcommands (build | fsck) before its flags.
-        return crate::storecli::cmd_store(rest);
-    }
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "serve" => crate::storecli::cmd_serve(&flags),
-        "pe" => cmd_pe(&flags),
-        "rebalance" => cmd_rebalance(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "hierarchy" => cmd_hierarchy(&flags),
-        "parallel" => cmd_parallel(&flags),
-        "warp" => Ok(cmd_warp()),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown command '{other}'\n\n{}", usage())),
+        crate::storecli::cmd_store(rest)?
+    } else {
+        let flags = Flags::parse(rest)?;
+        match cmd.as_str() {
+            // `serve` streams its answers as it goes.
+            "serve" => return crate::storecli::cmd_serve(&flags, out),
+            "pe" => cmd_pe(&flags)?,
+            "rebalance" => cmd_rebalance(&flags)?,
+            "sweep" => cmd_sweep(&flags)?,
+            "hierarchy" => cmd_hierarchy(&flags)?,
+            "parallel" => cmd_parallel(&flags)?,
+            "warp" => cmd_warp(),
+            "help" | "--help" | "-h" => usage(),
+            other => return Err(format!("unknown command '{other}'\n\n{}", usage())),
+        }
+    };
+    output_written(out.write_all(text.as_bytes()).and_then(|()| out.flush()))
+}
+
+/// The CLI's rule for a failed write to its output: a reader that has gone
+/// away (`BrokenPipe`, as under `| head -1`) ends the run quietly; any other
+/// write error is a diagnostic.
+///
+/// # Errors
+///
+/// Every write error but `BrokenPipe`.
+pub(crate) fn output_written(result: std::io::Result<()>) -> Result<(), String> {
+    match result {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("writing output: {e}")),
+        _ => Ok(()),
     }
 }
 
@@ -883,7 +903,12 @@ USAGE:
       entries are recomputed down the repair ladder and re-persisted.
       Every answer reports its provenance (hit vs repaired, engine,
       exactness); exact-only queries (balance, binding) refuse sampled
-      artifacts.
+      artifacts. The batch streams: each line is answered as it is read,
+      and answers are flushed before any read that would wait, so on a
+      stdin pipe each answer appears as soon as its query line arrives.
+      Malformed lines (including ones that are not UTF-8) answer a '!'
+      diagnostic and serving goes on; a closed output pipe (| head)
+      ends the run with exit 0.
 "
     .to_string()
 }
@@ -1269,10 +1294,14 @@ mod tests {
 
     #[test]
     fn dispatch_handles_commands_and_errors() {
-        assert!(dispatch(&args(&["help"])).unwrap().contains("USAGE"));
-        assert!(dispatch(&args(&["warp"])).unwrap().contains("Warp"));
-        assert!(dispatch(&args(&["bogus"])).is_err());
-        assert!(dispatch(&[]).is_err());
+        let run = |a: &[&str]| {
+            let mut out = Vec::new();
+            dispatch(&args(a), &mut out).map(|()| String::from_utf8(out).unwrap())
+        };
+        assert!(run(&["help"]).unwrap().contains("USAGE"));
+        assert!(run(&["warp"]).unwrap().contains("Warp"));
+        assert!(run(&["bogus"]).is_err());
+        assert!(run(&[]).is_err());
     }
 
     #[test]

@@ -15,10 +15,18 @@
 //!   re-persisted, and every answer carries its provenance
 //!   (`hit` / `repaired(miss)` / `repaired(quarantined)`, engine,
 //!   exactness). Exact-only queries (`balance`, `binding`) refuse
-//!   sampled artifacts instead of silently degrading.
+//!   sampled artifacts instead of silently degrading. The batch streams
+//!   from a buffered reader to a buffered writer, one line at a time, so
+//!   memory holds the session's profiles, not the batch or its answers.
+//!   Answers are flushed whenever the read buffer holds no complete line,
+//!   before the read that would wait for more: a file batch flushes once
+//!   per 64 KiB refill, and on a stdin pipe each answer appears as soon
+//!   as its query line arrives (a pipe REPL).
 
-use std::collections::HashMap;
-use std::io::Read as _;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufRead as _, BufReader, BufWriter, Read, Write};
 
 use balance_core::OpsPerSec;
 use balance_kernels::prelude::*;
@@ -158,17 +166,59 @@ pub fn cmd_store_fsck(flags: &Flags) -> Result<String, String> {
     Ok(format!("store {}: {report}\n", store.dir().display()))
 }
 
-/// One serve session: the self-healing service plus in-memory caches so
-/// repeated queries against the same `(kernel, n)` artifact are answered
-/// at memory speed (the ≥10⁵ queries/s target is measured through this
-/// exact path by `benches/profstore.rs`).
+/// One serve session: the self-healing service plus one in-memory slot per
+/// `(kernel, n)` key, so repeated queries against the same artifact are
+/// answered at memory speed (the ≥10⁵ queries/s target is measured through
+/// this exact path by `benches/profstore.rs`). Every answer is still
+/// computed from its profile; nothing caches answers.
 #[derive(Debug)]
 pub struct ServeSession<'a> {
     service: ProfileService<'a>,
     model: TrafficModel,
     peak: f64,
-    profiles: HashMap<(String, usize), Served>,
-    ops: HashMap<(String, usize), u64>,
+    /// Registry names: a query's kernel interns to its `&'static str`, so a
+    /// slot lookup allocates nothing.
+    names: Vec<&'static str>,
+    slots: HashMap<(&'static str, usize), Slot>,
+}
+
+/// What a session has learned about one `(kernel, n)` key.
+#[derive(Debug)]
+struct Slot {
+    served: Served,
+    /// The provenance tag. A `Served` never changes after insertion, so
+    /// its tag is rendered once, at the fetch.
+    tag: String,
+    /// The kernel's operation count at `n`, once a query needed it.
+    ops: Option<u64>,
+}
+
+impl Slot {
+    fn fetch(
+        service: &ProfileService<'_>,
+        model: TrafficModel,
+        kernel: &str,
+        n: usize,
+        ops: Option<u64>,
+    ) -> Result<Slot, String> {
+        let k = registry_kernel(kernel).ok_or_else(|| format!("unknown kernel '{kernel}'"))?;
+        let served = service
+            .fetch(k.as_ref(), n, model)
+            .map_err(|e| e.to_string())?;
+        Ok(Slot {
+            tag: served.describe(),
+            served,
+            ops,
+        })
+    }
+}
+
+/// The operation count of `kernel`'s canonical trace at `n`.
+fn comp_ops(kernel: &str, n: usize) -> Result<u64, String> {
+    registry_kernel(kernel)
+        .and_then(|k| k.access_trace(n))
+        .map(|trace| trace.comp_ops())
+        .ok_or_else(|| format!("{kernel} has no canonical trace at n = {n}"))
 }
 
 impl<'a> ServeSession<'a> {
@@ -189,8 +239,8 @@ impl<'a> ServeSession<'a> {
             service,
             model,
             peak,
-            profiles: HashMap::new(),
-            ops: HashMap::new(),
+            names: registry().iter().map(|k| k.name()).collect(),
+            slots: HashMap::new(),
         }
     }
 
@@ -198,69 +248,107 @@ impl<'a> ServeSession<'a> {
     /// Malformed or failing queries answer a `! `-prefixed diagnostic —
     /// the session keeps serving.
     pub fn answer(&mut self, line: &str) -> Option<String> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return None;
-        }
-        Some(match self.answer_query(line) {
-            Ok(a) => a,
-            Err(e) => format!("! {line}: {e}"),
-        })
+        // One allocation: an answer is the query plus at most about a
+        // hundred bytes of result and provenance tag.
+        let mut out = String::with_capacity(line.len() + 128);
+        self.answer_into(line, &mut out).then_some(out)
     }
 
-    fn answer_query(&mut self, line: &str) -> Result<String, String> {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            ["io", kernel, n, m] => {
-                let (n, m) = (parse_n(n)?, parse_m(m)?);
-                let served = self.serve(kernel, n)?;
-                let words = io_words_at(&served.payload, m);
-                Ok(format!(
-                    "io {kernel} {n} {m} = {words} words  [{}]",
-                    served.describe()
-                ))
+    /// Appends the answer to one query line to `out`, without a newline,
+    /// and returns `true`; returns `false` and leaves `out` as it was for
+    /// blanks and `#` comments. A malformed or failing query appends its
+    /// `! `-prefixed diagnostic in place of any partial answer.
+    pub fn answer_into(&mut self, line: &str, out: &mut String) -> bool {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return false;
+        }
+        let start = out.len();
+        if let Err(e) = self.write_answer(line, out) {
+            out.truncate(start);
+            let _ = write!(out, "! {line}: {e}");
+        }
+        true
+    }
+
+    /// [`answer_into`](Self::answer_into) for a raw input line: one that is
+    /// not UTF-8 answers a `! ` diagnostic (its lossy text) instead of
+    /// failing the batch, unless it is a `#` comment.
+    fn answer_bytes_into(&mut self, line: &[u8], out: &mut String) -> bool {
+        match std::str::from_utf8(line) {
+            Ok(line) => self.answer_into(line, out),
+            Err(_) => {
+                let text = String::from_utf8_lossy(line);
+                let line = text.trim();
+                if line.starts_with('#') {
+                    return false;
+                }
+                let _ = write!(out, "! {line}: not UTF-8");
+                true
             }
-            ["intensity", kernel, n, m] => {
-                let (n, m) = (parse_n(n)?, parse_m(m)?);
-                let ops = self.comp_ops(kernel, n)?;
-                let served = self.serve(kernel, n)?;
-                let words = io_words_at(&served.payload, m);
+        }
+    }
+
+    fn write_answer(&mut self, line: &str, out: &mut String) -> Result<(), String> {
+        let mut fields = line.split_whitespace();
+        let query = (
+            fields.next(),
+            fields.next(),
+            fields.next(),
+            fields.next(),
+            fields.next(),
+        );
+        let (Some(verb), Some(kernel), Some(n), Some(arg), None) = query else {
+            return Err(QUERY_FORMS.to_string());
+        };
+        let written = match verb {
+            "io" => {
+                let (n, m) = (parse_n(n)?, parse_m(arg)?);
+                let name = self.intern(kernel).ok_or_else(|| {
+                    format!("unknown kernel '{kernel}' (try: {})", self.names.join(", "))
+                })?;
+                let slot = self.slot(name, n)?;
+                let words = io_words_at(&slot.served.payload, m);
+                write!(out, "io {kernel} {n} {m} = {words} words  [{}]", slot.tag)
+            }
+            "intensity" => {
+                let (n, m) = (parse_n(n)?, parse_m(arg)?);
+                let (slot, ops) = self.slot_with_ops(kernel, n)?;
+                let words = io_words_at(&slot.served.payload, m);
                 let r = if words == 0 {
                     f64::INFINITY
                 } else {
                     ops as f64 / words as f64
                 };
-                Ok(format!(
+                write!(
+                    out,
                     "intensity {kernel} {n} {m} = {r:.4} op/word  [{}]",
-                    served.describe()
-                ))
+                    slot.tag
+                )
             }
-            ["balance", kernel, n, ratio] => {
+            "balance" => {
                 let n = parse_n(n)?;
-                let ratio: f64 = ratio
+                let ratio: f64 = arg
                     .parse()
-                    .map_err(|e| format!("ops/word ratio '{ratio}': {e}"))?;
-                let ops = self.comp_ops(kernel, n)?;
-                let served = self.serve(kernel, n)?;
+                    .map_err(|e| format!("ops/word ratio '{arg}': {e}"))?;
+                let (slot, ops) = self.slot_with_ops(kernel, n)?;
+                let (served, tag) = (&slot.served, &slot.tag);
                 require_exact(served, "balance")?;
                 match balance_point(&served.payload, ops, ratio) {
-                    Some(m) => Ok(format!(
-                        "balance {kernel} {n} {ratio} = M {m} words  [{}]",
-                        served.describe()
-                    )),
-                    None => Ok(format!(
+                    Some(m) => write!(out, "balance {kernel} {n} {ratio} = M {m} words  [{tag}]"),
+                    None => write!(
+                        out,
                         "balance {kernel} {n} {ratio} = impossible (io-bounded: no \
-                         capacity reaches {ratio} op/word)  [{}]",
-                        served.describe()
-                    )),
+                         capacity reaches {ratio} op/word)  [{tag}]"
+                    ),
                 }
             }
-            ["binding", kernel, n, levels] => {
+            "binding" => {
                 let n = parse_n(n)?;
-                let spec = parse_levels(levels)?;
-                let ops = self.comp_ops(kernel, n)?;
+                let spec = parse_levels(arg)?;
                 let peak = self.peak;
-                let served = self.serve(kernel, n)?;
+                let (slot, ops) = self.slot_with_ops(kernel, n)?;
+                let (served, tag) = (&slot.served, &slot.tag);
                 require_exact(served, "binding")?;
                 let traffic = match &served.payload {
                     ProfilePayload::Capacity(p) => p.traffic_for(&spec),
@@ -274,53 +362,67 @@ impl<'a> ServeSession<'a> {
                     .collect();
                 let roofline = HierarchicalRoofline::new(OpsPerSec::new(peak), &spec)
                     .map_err(|e| e.to_string())?;
-                let binds = match roofline.binding_level(&ai) {
-                    Some(level) => format!("L{}", level + 1),
-                    None => "compute".to_string(),
-                };
-                Ok(format!(
-                    "binding {kernel} {n} = {binds} (attainable {:.3e} op/s)  [{}]",
-                    roofline.attainable(&ai),
-                    served.describe()
-                ))
+                let attainable = roofline.attainable(&ai);
+                match roofline.binding_level(&ai) {
+                    Some(level) => write!(
+                        out,
+                        "binding {kernel} {n} = L{} (attainable {attainable:.3e} op/s)  [{tag}]",
+                        level + 1
+                    ),
+                    None => write!(
+                        out,
+                        "binding {kernel} {n} = compute (attainable {attainable:.3e} op/s)  [{tag}]"
+                    ),
+                }
             }
-            _ => Err("expected 'io K N M', 'intensity K N M', 'balance K N R', \
-                      or 'binding K N CAP:BW[,...]'"
-                .to_string()),
+            _ => return Err(QUERY_FORMS.to_string()),
+        };
+        written.map_err(|e| e.to_string())
+    }
+
+    /// The registry's own spelling of `kernel`, if it names one.
+    fn intern(&self, kernel: &str) -> Option<&'static str> {
+        self.names.iter().copied().find(|&name| name == kernel)
+    }
+
+    /// The slot of `(kernel, n)`, fetched on first use. A warm key costs
+    /// one hash lookup; a key whose fetch fails is not kept.
+    fn slot(&mut self, kernel: &'static str, n: usize) -> Result<&Slot, String> {
+        let (service, model) = (&self.service, self.model);
+        match self.slots.entry((kernel, n)) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => Ok(e.insert(Slot::fetch(service, model, kernel, n, None)?)),
         }
     }
 
-    fn serve(&mut self, kernel: &str, n: usize) -> Result<&Served, String> {
-        let key = (kernel.to_string(), n);
-        if !self.profiles.contains_key(&key) {
-            let k = registry_kernel(kernel).ok_or_else(|| {
-                let known: Vec<String> =
-                    registry().iter().map(|k| k.name().to_string()).collect();
-                format!("unknown kernel '{kernel}' (try: {})", known.join(", "))
-            })?;
-            let served = self
-                .service
-                .fetch(k.as_ref(), n, self.model)
-                .map_err(|e| e.to_string())?;
-            self.profiles.insert(key.clone(), served);
+    /// The slot of a query that needs the op count too. The count comes
+    /// first, so `intensity fft 100 16` fails on its missing trace before
+    /// any repair starts.
+    fn slot_with_ops(&mut self, kernel: &str, n: usize) -> Result<(&Slot, u64), String> {
+        let name = self
+            .intern(kernel)
+            .ok_or_else(|| format!("unknown kernel '{kernel}'"))?;
+        let (service, model) = (&self.service, self.model);
+        match self.slots.entry((name, n)) {
+            Entry::Occupied(e) => {
+                let slot = e.into_mut();
+                let ops = match slot.ops {
+                    Some(ops) => ops,
+                    None => *slot.ops.insert(comp_ops(name, n)?),
+                };
+                Ok((slot, ops))
+            }
+            Entry::Vacant(e) => {
+                let ops = comp_ops(name, n)?;
+                let slot = Slot::fetch(service, model, name, n, Some(ops))?;
+                Ok((e.insert(slot), ops))
+            }
         }
-        Ok(&self.profiles[&key])
-    }
-
-    fn comp_ops(&mut self, kernel: &str, n: usize) -> Result<u64, String> {
-        let key = (kernel.to_string(), n);
-        if let Some(&ops) = self.ops.get(&key) {
-            return Ok(ops);
-        }
-        let k = registry_kernel(kernel).ok_or_else(|| format!("unknown kernel '{kernel}'"))?;
-        let trace = k
-            .access_trace(n)
-            .ok_or_else(|| format!("{kernel} has no canonical trace at n = {n}"))?;
-        let ops = trace.comp_ops();
-        self.ops.insert(key, ops);
-        Ok(ops)
     }
 }
+
+const QUERY_FORMS: &str =
+    "expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'";
 
 fn parse_n(s: &str) -> Result<usize, String> {
     s.parse().map_err(|e| format!("problem size '{s}': {e}"))
@@ -377,16 +479,28 @@ fn balance_point(payload: &ProfilePayload, ops: u64, ratio: f64) -> Option<u64> 
     Some(lo)
 }
 
+/// Read and write buffer size of `balance serve`.
+const SERVE_BUF: usize = 64 * 1024;
+
 /// `balance serve --store <path> [--batch FILE|-] [--line-words L]
 /// [--peak <op/s>] [budget flags]`: answer a batch of what-if queries
-/// through the self-healing store. `--batch -` (or no `--batch`) reads
-/// stdin to EOF, so `balance serve --store s` doubles as a pipe REPL.
+/// through the self-healing store, writing one answer line per query to
+/// `out`. `--batch -` (or no `--batch`) reads stdin.
+///
+/// The batch streams: lines are read through a buffer and answered one at
+/// a time, so memory holds the session's profiles, not the batch or its
+/// answers. Answers are flushed whenever the read buffer holds no complete
+/// line, before the next blocking read. A file batch therefore flushes once
+/// per buffer refill, and `balance serve --store s` works as a pipe REPL:
+/// each answer appears as soon as its query line arrives. A reader that
+/// goes away (`| head -1`) ends the run quietly.
 ///
 /// # Errors
 ///
-/// Flag, store-open, or batch-file errors, as one-line diagnostics
-/// (individual query failures answer inline `! ` lines instead).
-pub fn cmd_serve(flags: &Flags) -> Result<String, String> {
+/// Flag, store-open, batch-read, or output-write errors, as one-line
+/// diagnostics (individual query failures answer inline `! ` lines
+/// instead).
+pub fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), String> {
     let store = store_at(flags, "store")?;
     let model = traffic_model(flags)?;
     let budget = parse_budget(flags)?;
@@ -394,26 +508,51 @@ pub fn cmd_serve(flags: &Flags) -> Result<String, String> {
         Some(_) => flags.f64("peak")?,
         None => 1.0e9,
     };
-    let input = match flags.str_opt("batch") {
-        Some("-") | None => {
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-            buf
-        }
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("--batch {path}: {e}"))?,
+    let (input, source): (Box<dyn Read>, String) = match flags.str_opt("batch") {
+        Some("-") | None => (
+            Box::new(std::io::stdin().lock()),
+            "reading stdin".to_string(),
+        ),
+        Some(path) => (
+            Box::new(File::open(path).map_err(|e| format!("--batch {path}: {e}"))?),
+            format!("--batch {path}"),
+        ),
     };
     let mut session = ServeSession::new(&store, model, budget, peak);
-    let mut out = String::new();
-    for line in input.lines() {
-        if let Some(answer) = session.answer(line) {
-            out.push_str(&answer);
-            out.push('\n');
+    let mut input = BufReader::with_capacity(SERVE_BUF, input);
+    let mut out = BufWriter::with_capacity(SERVE_BUF, out);
+    let mut line = Vec::new();
+    let mut answer = String::new();
+    let written = loop {
+        if !input.buffer().contains(&b'\n') {
+            if let Err(e) = out.flush() {
+                break Err(e);
+            }
         }
+        line.clear();
+        match input.read_until(b'\n', &mut line) {
+            Ok(0) => break out.flush(),
+            Ok(_) => {}
+            Err(e) => return Err(format!("{source}: {e}")),
+        }
+        answer.clear();
+        if session.answer_bytes_into(strip_line_end(&line), &mut answer) {
+            answer.push('\n');
+            if let Err(e) = out.write_all(answer.as_bytes()) {
+                break Err(e);
+            }
+        }
+    };
+    crate::cli::output_written(written)
+}
+
+/// One read line without its `\n` or `\r\n`, exactly as `str::lines`
+/// splits.
+fn strip_line_end(line: &[u8]) -> &[u8] {
+    match line.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => line,
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -523,9 +662,8 @@ mod tests {
             .unwrap()
             .parse()
             .unwrap();
-        let served = session.serve("matmul", 8).unwrap();
-        let profile = served.profile().clone();
-        let ops = session.comp_ops("matmul", 8).unwrap();
+        let (slot, ops) = session.slot_with_ops("matmul", 8).unwrap();
+        let profile = slot.served.profile().clone();
         assert!(ops as f64 / profile.io_at(m) as f64 >= 1.5);
         if m > 1 {
             assert!((ops as f64) / profile.io_at(m - 1) as f64 <= 1.5 + 1e-9);
@@ -563,11 +701,156 @@ mod tests {
             &batch.to_string_lossy(),
         ]))
         .unwrap();
-        let out = cmd_serve(&f).unwrap();
+        let mut out = Vec::new();
+        cmd_serve(&f, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2, "{out}");
         assert!(lines[0].starts_with("io matmul 8 27 = "), "{out}");
         assert!(lines[1].starts_with("! bogus line"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch with every verb, a blank line, a comment, malformed and
+    /// failing queries, a CRLF line and a last line without a newline.
+    const MIXED_BATCH: &str = "# serve byte-identity batch\nio matmul 16 64\n\
+        intensity matmul 16 64\nbalance matmul 16 2.0\nbinding matmul 16 64:1e8,4096:1e7\n\
+        \n  io matmul 8 27\r\nbogus line\nio matmul eight 8\nio nonsense 8 8\n\
+        intensity nonsense 8 8\nio fft 100 16\nintensity fft 100 16\nintensity fft 16 64\n\
+        balance matmul 8 1000\nbalance matmul 16 abc\nbinding fft 16 32:1e8\nio matmul 16 4096";
+
+    /// `MIXED_BATCH` answered by the buffered serve path that streaming
+    /// replaced, over a store holding matmul at n = 8 and 16.
+    const MIXED_ANSWERS: &str = "\
+io matmul 16 64 = 4608 words  [hit [analytic, exact]]
+intensity matmul 16 64 = 1.7778 op/word  [hit [analytic, exact]]
+balance matmul 16 2 = M 304 words  [hit [analytic, exact]]
+binding matmul 16 = L2 (attainable 1.067e8 op/s)  [hit [analytic, exact]]
+io matmul 8 27 = 640 words  [hit [analytic, exact]]
+! bogus line: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'
+! io matmul eight 8: problem size 'eight': invalid digit found in string
+! io nonsense 8 8: unknown kernel 'nonsense' (try: matmul, triangularization, grid2d, grid3d, fft, sort, matvec, trisolve, convolution, transpose, multi_matvec)
+! intensity nonsense 8 8: unknown kernel 'nonsense'
+! io fft 100 16: bad parameters: fft has no canonical access trace at n = 100 (cache-model sweeps need one; use Measure::Execute instead)
+! intensity fft 100 16: fft has no canonical trace at n = 100
+intensity fft 16 64 = 10.0000 op/word  [repaired(miss) [stackdist, exact]]
+balance matmul 8 1000 = impossible (io-bounded: no capacity reaches 1000 op/word)  [hit [analytic, exact]]
+! balance matmul 16 abc: ops/word ratio 'abc': invalid float literal
+binding fft 16 = compute (attainable 1.000e9 op/s)  [repaired(miss) [stackdist, exact]]
+io matmul 16 4096 = 768 words  [hit [analytic, exact]]
+";
+
+    /// A fresh store under `dir` holding matmul at n = 8 and 16.
+    fn matmul_store(dir: &std::path::Path) -> ProfileStore {
+        let f = Flags::parse(&args(&[
+            "--dir",
+            &dir.to_string_lossy(),
+            "--kernels",
+            "matmul",
+            "--grid",
+            "8,16",
+        ]))
+        .unwrap();
+        cmd_store_build(&f).unwrap();
+        ProfileStore::open(dir).unwrap()
+    }
+
+    /// `balance serve` over `batch` (written to a file) and the store at
+    /// `dir`, as the bytes it prints.
+    fn serve_file(dir: &std::path::Path, batch: &[u8]) -> Vec<u8> {
+        let path = dir.with_extension("batch");
+        std::fs::write(&path, batch).unwrap();
+        let f = Flags::parse(&args(&[
+            "--store",
+            &dir.to_string_lossy(),
+            "--batch",
+            &path.to_string_lossy(),
+        ]))
+        .unwrap();
+        let mut out = Vec::new();
+        cmd_serve(&f, &mut out).unwrap();
+        let _ = std::fs::remove_file(&path);
+        out
+    }
+
+    #[test]
+    fn streamed_serve_is_byte_identical_to_answer_per_line() {
+        let dirs: Vec<PathBuf> = (0..3).map(|i| tmp_dir(&format!("ident{i}"))).collect();
+        let stores: Vec<ProfileStore> = dirs.iter().map(|d| matmul_store(d)).collect();
+
+        // The buffered algorithm: `answer` per `str::lines` line, plus '\n'.
+        let mut session = ServeSession::new(&stores[0], TrafficModel::WORD, None, 1.0e9);
+        let mut expected = String::new();
+        for line in MIXED_BATCH.lines() {
+            if let Some(a) = session.answer(line) {
+                expected.push_str(&a);
+                expected.push('\n');
+            }
+        }
+        assert_eq!(expected, MIXED_ANSWERS);
+
+        // `answer_into` agrees with `answer` line by line, appending.
+        let mut session = ServeSession::new(&stores[1], TrafficModel::WORD, None, 1.0e9);
+        let mut out = String::from("kept");
+        let mut want = out.clone();
+        let mut answers = MIXED_ANSWERS.lines();
+        for line in MIXED_BATCH.lines() {
+            if session.answer_into(line, &mut out) {
+                want.push_str(answers.next().unwrap());
+            }
+            assert_eq!(out, want, "after {line:?}");
+        }
+        assert_eq!(answers.next(), None);
+
+        let streamed = serve_file(&dirs[2], MIXED_BATCH.as_bytes());
+        assert_eq!(String::from_utf8(streamed).unwrap(), MIXED_ANSWERS);
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_answers_a_diagnostic_and_serving_goes_on() {
+        let dir = tmp_dir("utf8");
+        let out = serve_file(
+            &dir,
+            b"io matmul 8 27\nio mat\xffmul 8 27\n# caf\xe9\nio matmul 8 64\n",
+        );
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(lines[0].starts_with("io matmul 8 27 = "), "{out}");
+        assert_eq!(lines[1], "! io mat\u{fffd}mul 8 27: not UTF-8");
+        assert!(lines[2].starts_with("io matmul 8 64 = "), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn serve_output_errors_other_than_a_closed_pipe_fail_the_run() {
+        struct Failing(std::io::ErrorKind);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(self.0.into())
+            }
+        }
+        let dir = tmp_dir("failing");
+        let batch = dir.with_extension("batch");
+        std::fs::write(&batch, "io matmul 8 27\n").unwrap();
+        let f = Flags::parse(&args(&[
+            "--store",
+            &dir.to_string_lossy(),
+            "--batch",
+            &batch.to_string_lossy(),
+        ]))
+        .unwrap();
+        let closed = cmd_serve(&f, &mut Failing(std::io::ErrorKind::BrokenPipe));
+        assert_eq!(closed, Ok(()));
+        let full = cmd_serve(&f, &mut Failing(std::io::ErrorKind::StorageFull));
+        assert!(full.unwrap_err().starts_with("writing output: "));
+        let _ = std::fs::remove_file(&batch);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
