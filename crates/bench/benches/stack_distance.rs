@@ -29,6 +29,16 @@
 //!   recorded the baseline *slower* than the checkpointed replay because
 //!   the first-run tier alone paid the cold-start cost.
 //!
+//! * `trace_gen/{fft,triangularization,matmul}` — the chunked trace
+//!   generators alone: each drains the curve-sized canonical trace (fft
+//!   2¹⁸, triangularization 256, matmul 192 — the `curve` benchmark's
+//!   three sweeps) through its iterator view.
+//! * `trace_gen_over_histogram_direct` — the within-run ratio of draining
+//!   the matmul n = 96 trace over the direct histogram pass on the same
+//!   trace (`stackdist/histogram_direct`): the share of a Mattson pass
+//!   that trace generation costs. Dimensionless, so it compares across
+//!   ledger files where absolute medians do not.
+//!
 //! The medians land in `BENCH_8.json` via the bench-smoke script
 //! (alongside the `bigtrace/*` wall-clocks E23 appends); the tentpole
 //! target is `engine_replay / engine_stackdist ≥ 3×` on the 16-point
@@ -94,6 +104,71 @@ fn bench_engine_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+/// Drains a kernel's canonical trace at `n` through its tagged view.
+fn drain_trace(kernel: &dyn Kernel, n: usize) -> usize {
+    kernel.access_trace(n).expect("in domain").into_accesses().count()
+}
+
+fn bench_trace_gen(c: &mut Criterion) {
+    let mut g = c.benchmark_group("trace_gen");
+    g.sample_size(10);
+    g.bench_function("fft", |b| b.iter(|| drain_trace(&Fft, 1 << 18)));
+    g.bench_function("triangularization", |b| {
+        b.iter(|| drain_trace(&Triangularization, 256));
+    });
+    g.bench_function("matmul", |b| b.iter(|| drain_trace(&MatMul, 192)));
+    g.finish();
+}
+
+/// Median wall-clock of `runs` evaluations of `f`.
+fn median_of<O>(runs: usize, mut f: impl FnMut() -> O) -> std::time::Duration {
+    let mut samples: Vec<std::time::Duration> = (0..runs)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            criterion::black_box(f());
+            t.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+/// Times trace generation against the direct histogram pass over the
+/// same matmul n = 96 trace, interleaved in one run, and appends the
+/// ratio as `trace_gen_over_histogram_direct` (the criterion shim's
+/// `"name": value` line protocol, folded into `BENCH_<n>.json` by the
+/// bench-smoke script).
+fn bench_trace_gen_ratio(_c: &mut Criterion) {
+    let n = 96usize;
+    let bound = 3 * (n as u64) * (n as u64);
+    let histogram = || {
+        let mut engine = balance_machine::StackDistance::with_address_bound(bound);
+        engine.observe_trace(balance_kernels::trace::matmul(n).expect("in domain").into_addrs());
+        engine.into_profile()
+    };
+    let runs = if std::env::var_os("BENCH_SMOKE").is_some() { 3 } else { 7 };
+    let _ = (drain_trace(&MatMul, n), histogram()); // warm both paths
+    let gen = median_of(runs, || drain_trace(&MatMul, n));
+    let pass = median_of(runs, histogram);
+    let ratio = gen.as_secs_f64() / pass.as_secs_f64().max(1e-9);
+    println!(
+        "bench: trace_gen_over_histogram_direct          {ratio:.3} \
+         (trace_gen {gen:?} / histogram_direct {pass:?}, matmul n = {n})"
+    );
+    if let Some(path) = std::env::var_os("BENCH_JSON") {
+        use std::io::Write as _;
+        let line = format!("\"trace_gen_over_histogram_direct\": {ratio:.3}\n");
+        let written = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .and_then(|mut f| f.write_all(line.as_bytes()));
+        if let Err(e) = written {
+            eprintln!("warning: BENCH_JSON write to {path:?} failed: {e}");
+        }
+    }
+}
+
 fn bench_checkpoint_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("checkpoint_overhead");
     g.sample_size(10);
@@ -116,7 +191,7 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
         ctl.policy = Some(policy);
         let (engine, _) = balance_machine::resumable_replay(
             len,
-            balance_kernels::trace::AddrIter::new(balance_kernels::matmul::NaiveTrace::new(n)),
+            balance_kernels::trace::matmul(n).expect("in domain").into_addrs(),
             fresh,
             &ctl,
         )
@@ -148,6 +223,8 @@ criterion_group!(
     benches,
     bench_capacity_sweep,
     bench_engine_overhead,
+    bench_trace_gen,
+    bench_trace_gen_ratio,
     bench_checkpoint_overhead
 );
 criterion_main!(benches);

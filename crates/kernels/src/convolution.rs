@@ -55,7 +55,7 @@ pub fn convolve_reference(x: &[f64], h: &[f64], n: usize) -> Vec<f64> {
 
 impl Kernel for Convolution {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::convolution(n, self.taps()))
+        crate::trace::convolution(n, self.taps()).filter(|_| n > 0)
     }
 
     /// Output `i` interleaves `[x[i+t], w[t]]` for `t = 0..k`, then writes

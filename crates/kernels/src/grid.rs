@@ -98,7 +98,7 @@ fn for_each_coord(dims: &[usize], mut f: impl FnMut(&[usize], usize)) {
 
 impl Kernel for GridRelaxation {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::grid(self.dim, n))
+        crate::trace::grid(self.dim, n).filter(|_| n > 0)
     }
 
     /// Grid relaxation's problem size is the sweep count `n` over a fixed
@@ -113,11 +113,12 @@ impl Kernel for GridRelaxation {
     /// Exactness is pinned by the same registry proptests as the
     /// closed-form kernels.
     fn analytic_profile(&self, n: usize) -> Option<AnalyticProfile> {
-        if n == 0 {
-            return None;
-        }
-        let replayed =
-            |iters: usize| StackDistance::profile_of(crate::trace::grid(self.dim, iters).into_addrs());
+        // No trace, no histogram (and the per-sweep extrapolation below
+        // stays within the trace's checked length).
+        self.access_trace(n)?;
+        let replayed = |iters: usize| {
+            crate::trace::grid(self.dim, iters).map(|t| StackDistance::profile_of(t.into_addrs()))
+        };
         let to_analytic = |p: &CapacityProfile| {
             let mut a = AnalyticProfile::new();
             a.record_compulsory(p.compulsory_misses());
@@ -127,11 +128,11 @@ impl Kernel for GridRelaxation {
             a
         };
         if n <= 4 {
-            return Some(to_analytic(&replayed(n)));
+            return Some(to_analytic(&replayed(n)?));
         }
-        let p2 = replayed(2);
-        let p3 = replayed(3);
-        let p4 = replayed(4);
+        let p2 = replayed(2)?;
+        let p3 = replayed(3)?;
+        let p4 = replayed(4)?;
         if p2.compulsory_misses() != p4.compulsory_misses()
             || p3.compulsory_misses() != p4.compulsory_misses()
         {

@@ -16,7 +16,9 @@
 //!
 //! The module also exports **streaming access-trace** generators
 //! ([`NaiveTrace`], [`BlockedTrace`]: lazy `Iterator<Item = Access> +
-//! ExactSizeIterator`, O(1) memory for the `3n³`-access traces), used by
+//! ExactSizeIterator`, O(1) memory for the `3n³`-access traces; the naive
+//! one is also the chunked [`TraceGen`] behind matmul's canonical
+//! [`AccessTrace`](crate::trace::AccessTrace)), used by
 //! the E13 ablation to show that an LRU cache of the same capacity, fed
 //! the naive trace, does *not* achieve the `√M` intensity — the
 //! decomposition scheme, not the memory itself, earns the balance. Each
@@ -66,6 +68,7 @@ use balance_machine::{AnalyticProfile, ExternalStore, Pe};
 use crate::error::KernelError;
 use crate::matrix::{load_block, store_block, MatrixHandle};
 use crate::reference;
+use crate::trace::TraceGen;
 use crate::traits::{Kernel, KernelRun};
 use crate::verify::{self, Verify};
 use crate::workload;
@@ -89,7 +92,7 @@ impl Kernel for MatMul {
     }
 
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::matmul(n))
+        crate::trace::matmul(n).filter(|_| n > 0)
     }
 
     /// The closed-form histogram derived in the module docs: three address
@@ -284,6 +287,25 @@ impl NaiveTrace {
             remaining: 3 * n * n * n,
         }
     }
+
+    /// O(1) positional skip past the next `skip` accesses: the element at
+    /// absolute position `p = ((i·n + j)·n + k)·3 + phase` is a
+    /// closed-form decode of `p`.
+    fn seek_ahead(&mut self, skip: u64) {
+        if skip >= self.remaining {
+            self.remaining = 0;
+            return;
+        }
+        let total = 3 * self.n2 * self.n;
+        let p = total - self.remaining + skip;
+        self.phase = (p % 3) as u8;
+        let q = p / 3;
+        self.k = q % self.n;
+        let q = q / self.n;
+        self.j = q % self.n;
+        self.i = q / self.n;
+        self.remaining = total - p;
+    }
 }
 
 impl Iterator for NaiveTrace {
@@ -315,33 +337,60 @@ impl Iterator for NaiveTrace {
         Some(access)
     }
 
-    /// O(1) positional skip: the element at absolute position
-    /// `p = ((i·n + j)·n + k)·3 + phase` is a closed-form decode of `p`,
-    /// so `skip(start)` over this trace (the segmented parallel engine's
-    /// per-range slicing) costs one division chain instead of a scan —
-    /// `Iterator::skip` defers to `nth`, and `Box<dyn Iterator>` forwards
-    /// it.
+    /// O(1) positional skip (see `seek_ahead`), so `skip(start)` over this
+    /// trace (the segmented parallel engine's per-range slicing) costs one
+    /// division chain instead of a scan — `Iterator::skip` defers to `nth`.
     fn nth(&mut self, skip: usize) -> Option<Access> {
-        let skip = u64::try_from(skip).unwrap_or(u64::MAX);
-        if skip >= self.remaining {
-            self.remaining = 0;
-            return None;
-        }
-        let total = 3 * self.n2 * self.n;
-        let p = total - self.remaining + skip;
-        self.phase = (p % 3) as u8;
-        let q = p / 3;
-        self.k = q % self.n;
-        let q = q / self.n;
-        self.j = q % self.n;
-        self.i = q / self.n;
-        self.remaining = total - p;
+        self.seek_ahead(u64::try_from(skip).unwrap_or(u64::MAX));
         self.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let r = self.remaining as usize;
         (r, Some(r))
+    }
+}
+
+/// The chunked generator: whole `(A, B, C)` triples straight into the
+/// buffer, single accesses only where a triple straddles either end.
+impl TraceGen for NaiveTrace {
+    fn fill(&mut self, out: &mut [Access]) -> usize {
+        let want = usize::try_from(self.remaining).map_or(out.len(), |r| r.min(out.len()));
+        // `w < want ≤ remaining` below, so `next()` is always `Some`.
+        let mut w = 0;
+        while w < want && self.phase != 0 {
+            out[w] = self.next().unwrap_or(Access::read(0));
+            w += 1;
+        }
+        let whole = (want - w) / 3 * 3;
+        let (n, n2) = (self.n, self.n2);
+        let (mut i, mut j, mut k) = (self.i, self.j, self.k);
+        for unit in out[w..w + whole].chunks_exact_mut(3) {
+            unit[0] = Access::read(i * n + k); // A[i][k]
+            unit[1] = Access::read(n2 + k * n + j); // B[k][j]
+            unit[2] = Access::write(2 * n2 + i * n + j); // C[i][j] +=
+            k += 1;
+            if k == n {
+                k = 0;
+                j += 1;
+                if j == n {
+                    j = 0;
+                    i += 1;
+                }
+            }
+        }
+        (self.i, self.j, self.k) = (i, j, k);
+        self.remaining -= whole as u64;
+        w += whole;
+        while w < want {
+            out[w] = self.next().unwrap_or(Access::read(0));
+            w += 1;
+        }
+        want
+    }
+
+    fn skip(&mut self, n: u64) {
+        self.seek_ahead(n);
     }
 }
 

@@ -33,7 +33,7 @@ pub struct MatVec;
 
 impl Kernel for MatVec {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::matvec(n))
+        crate::trace::matvec(n).filter(|_| n > 0)
     }
 
     fn analytic_profile(&self, n: usize) -> Option<AnalyticProfile> {

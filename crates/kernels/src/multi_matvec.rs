@@ -64,7 +64,7 @@ impl MultiMatVec {
 
 impl Kernel for MultiMatVec {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::multi_matvec(n, self.vectors()))
+        crate::trace::multi_matvec(n, self.vectors()).filter(|_| n > 0)
     }
 
     /// Per vector the trace is a matvec over `X[·][vec]`/`Y[·][vec]`, so the

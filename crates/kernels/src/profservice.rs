@@ -250,8 +250,7 @@ impl<'a> ProfileService<'a> {
                         kernel.name()
                     ),
                 })?;
-            let bound = trace.addr_bound();
-            let traffic = tagged_profile(trace.into_accesses(), model.line_words, bound);
+            let traffic = tagged_profile(trace, model);
             let meta = ProfileMeta {
                 kernel: kernel.name().to_string(),
                 n: n as u64,
@@ -409,7 +408,8 @@ mod tests {
                 "bound {bound}"
             );
         }
-        // The repair builds its tagged profile through the sweep's chooser.
+        // The repair's chunk-fed tagged pass is the engine's own tagged
+        // entry point over the trace's iterator view, bit for bit.
         let (dir, store) = tmp_store("chooser");
         let service = ProfileService::new(&store);
         let (_, payload, _) = service
@@ -419,7 +419,11 @@ mod tests {
         let bound = trace.addr_bound();
         assert_eq!(
             payload,
-            ProfilePayload::Traffic(tagged_profile(trace.into_accesses(), 4, bound))
+            ProfilePayload::Traffic(balance_machine::StackDistance::traffic_profile_of_bounded(
+                trace.into_accesses(),
+                4,
+                bound
+            ))
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

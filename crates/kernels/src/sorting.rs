@@ -181,7 +181,7 @@ fn merge_level(
 
 impl Kernel for ExternalSort {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 1).then(|| crate::trace::sort(n))
+        crate::trace::sort(n).filter(|_| n > 1)
     }
 
     /// The canonical trace ping-pongs `[src+i, dst+i]` pairs across

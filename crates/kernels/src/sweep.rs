@@ -528,12 +528,7 @@ pub fn sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, Kern
     let capacities =
         |m: usize| std::iter::once(m as u64).chain(cfg.outer.iter().map(|l| l.capacity().get()));
     if needs_device_path(cfg) {
-        let bound = trace.addr_bound();
-        let tp = tagged_profile(
-            device_accesses(trace, cfg.traffic),
-            cfg.traffic.line_words,
-            bound,
-        );
+        let tp = tagged_profile(trace, cfg.traffic);
         let results = memories.iter().map(|&m| {
             let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities(m)
                 .map(|c| (tp.read_words_at(c), tp.writeback_words_at(c)))
@@ -809,17 +804,49 @@ pub(crate) fn direct_bound(bound: u64) -> Option<u64> {
     (bound > 0 && bound < u64::from(u32::MAX / 2)).then_some(bound)
 }
 
-/// The one-pass tagged [`TrafficProfile`] of `accesses` at `line_words`,
-/// on the backend [`direct_bound`] picks for the trace's address bound.
-pub(crate) fn tagged_profile(
-    accesses: impl IntoIterator<Item = Access>,
-    line_words: u64,
-    bound: u64,
-) -> TrafficProfile {
-    match direct_bound(bound) {
-        Some(b) => StackDistance::traffic_profile_of_bounded(accesses, line_words, b),
-        None => StackDistance::traffic_profile_of(accesses, line_words),
-    }
+/// The exact serial Mattson histogram of a whole trace: replay's curve,
+/// bit for bit. On the direct backend ([`direct_bound`]) the trace's
+/// chunks feed the engine straight from the generator's buffer.
+fn exact_profile(trace: AccessTrace) -> CapacityProfile {
+    let Some(bound) = direct_bound(trace.addr_bound()) else {
+        return StackDistance::profile_of(trace.into_addrs());
+    };
+    let mut engine = StackDistance::with_address_bound(bound);
+    trace.for_each_chunk(|chunk| {
+        for a in chunk {
+            engine.observe(a.addr);
+        }
+    });
+    engine.into_profile()
+}
+
+/// The one-pass tagged [`TrafficProfile`] of a trace under `model`, on the
+/// backend [`direct_bound`] picks for the trace's address bound. The
+/// direct pass feeds the engine chunk by chunk, mapping words to lines
+/// by shift and demoting tags ([`device_access`]) in the chunk.
+///
+/// # Panics
+///
+/// Panics when `model.line_words` is not a power of two (the shape
+/// [`TrafficModel::validate`] admits).
+pub(crate) fn tagged_profile(trace: AccessTrace, model: TrafficModel) -> TrafficProfile {
+    let lw = model.line_words;
+    let Some(bound) = direct_bound(trace.addr_bound()) else {
+        return StackDistance::traffic_profile_of(device_accesses(trace, model), lw);
+    };
+    assert!(
+        lw.is_power_of_two(),
+        "line size must be a positive power of two words, got {lw}"
+    );
+    let shift = lw.trailing_zeros();
+    let mut engine = StackDistance::with_address_bound(bound.div_ceil(lw).max(1));
+    trace.for_each_chunk(|chunk| {
+        for &a in chunk {
+            let a = device_access(model, a);
+            engine.observe_tagged(a.addr >> shift, a.is_write());
+        }
+    });
+    engine.into_traffic_profile(lw)
 }
 
 /// The line size a ladder level transfers under `model`: the level's own
@@ -835,16 +862,23 @@ fn effective_line(model: TrafficModel, level: &LevelSpec) -> u64 {
     }
 }
 
-/// The tagged access stream a device-real measurement replays: the
-/// kernel's honest read/write tags when write-backs are ledgered, the
-/// same addresses demoted to reads when only line granularity is priced
-/// (no store ever dirties a line, so no write-back can be charged).
-fn device_accesses(trace: AccessTrace, model: TrafficModel) -> Box<dyn Iterator<Item = Access>> {
+/// One access as a device-real measurement replays it: the kernel's
+/// honest read/write tag when write-backs are ledgered, demoted to a read
+/// when only line granularity is priced (no store ever dirties a line,
+/// so no write-back can be charged).
+#[inline]
+fn device_access(model: TrafficModel, a: Access) -> Access {
     if model.writebacks {
-        trace.into_accesses()
+        a
     } else {
-        Box::new(trace.into_addrs().map(Access::read))
+        Access::read(a.addr)
     }
+}
+
+/// The trace's stream as a device-real measurement replays it
+/// ([`device_access`] per access).
+fn device_accesses(trace: AccessTrace, model: TrafficModel) -> impl Iterator<Item = Access> {
+    trace.into_accesses().map(move |a| device_access(model, a))
 }
 
 /// The documented error for a kernel without a closed form at `n`.
@@ -888,9 +922,9 @@ fn capacity_profile(
             let len = trace.len();
             drop(trace);
             // Each worker regenerates its time range from the kernel's
-            // streaming generator: `skip` is O(1) for generators with a
-            // positional `nth` (e.g. the matmul trace) and one cheap
-            // linear scan otherwise.
+            // streaming generator: the view's `skip` is the generator's
+            // O(1) closed-form seek (every trace but triangularization,
+            // which scans at generation speed).
             segmented_profile_of(len, bound, resolve_threads(threads), |start, end| {
                 segment_range(kernel, n, start, end)
             })
@@ -899,11 +933,7 @@ fn capacity_profile(
             Some(b) => sampled_profile_of_bounded(trace.into_addrs(), b, shift),
             None => sampled_profile_of(trace.into_addrs(), shift),
         },
-        // The exact serial histogram: replay's curve, bit for bit.
-        _ => match bound {
-            Some(b) => StackDistance::profile_of_bounded(trace.into_addrs(), b),
-            None => StackDistance::profile_of(trace.into_addrs()),
-        },
+        _ => exact_profile(trace),
     })
 }
 /// Resolves a [`Engine::StackDistPar`] thread count (`0` = the host's
@@ -2417,6 +2447,33 @@ mod tests {
                 if reason.contains("no canonical access trace")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn oversized_traces_are_the_documented_error_at_once() {
+        // 3n³ leaves u64 at n = 1,832,032: the trace is refused up front,
+        // never wrapped into a plausible length and replayed.
+        for engine in [
+            Engine::StackDist,
+            Engine::Replay,
+            Engine::StackDistPar { threads: 1 },
+            Engine::Sampled { shift: 4 },
+        ] {
+            let cfg = SweepConfig {
+                n: 2_000_000,
+                memories: vec![1024],
+                verify: Verify::None,
+                engine,
+                measure: Measure::CacheModel,
+                ..SweepConfig::default()
+            };
+            let err = sweep(&MatMul, &cfg).unwrap_err();
+            assert!(
+                matches!(&err, KernelError::BadParameters { reason }
+                    if reason.contains("no canonical access trace at n = 2000000")),
+                "{engine:?}: {err}"
+            );
+        }
     }
 
     #[test]

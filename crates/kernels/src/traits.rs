@@ -149,8 +149,9 @@ pub trait Kernel: Sync {
     /// is the ablation's finding).
     ///
     /// `None` when the kernel has no canonical trace at this `n` (e.g. a
-    /// non-power-of-two FFT). Every registry kernel returns `Some` for its
-    /// supported sizes (pinned by test).
+    /// non-power-of-two FFT, or an `n` whose trace length, address bound
+    /// or op count would leave `u64`). Every registry kernel returns
+    /// `Some` for its supported sizes (pinned by test).
     fn access_trace(&self, n: usize) -> Option<AccessTrace> {
         let _ = n;
         None

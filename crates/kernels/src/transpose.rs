@@ -25,7 +25,7 @@ pub struct Transpose;
 
 impl Kernel for Transpose {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::transpose(n))
+        crate::trace::transpose(n).filter(|_| n > 0)
     }
 
     fn analytic_profile(&self, n: usize) -> Option<AnalyticProfile> {

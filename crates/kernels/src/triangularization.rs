@@ -37,7 +37,7 @@ pub struct Triangularization;
 
 impl Kernel for Triangularization {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::triangularization(n))
+        crate::trace::triangularization(n).filter(|_| n > 0)
     }
 
     fn name(&self) -> &'static str {

@@ -26,7 +26,7 @@ pub struct TriSolve;
 
 impl Kernel for TriSolve {
     fn access_trace(&self, n: usize) -> Option<crate::trace::AccessTrace> {
-        (n > 0).then(|| crate::trace::trisolve(n))
+        crate::trace::trisolve(n).filter(|_| n > 0)
     }
 
     /// Only `x` repeats: row `i` re-reads `x[0..i-1]` before writing `x[i]`.

@@ -151,8 +151,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// `size_hint()` honesty for the streaming traces: exact (lower ==
-    /// upper == remaining) at construction and after any partial
+    /// `size_hint()` honesty for the streaming traces — matmul's two
+    /// generators and every registry trace's iterator views: exact (lower
+    /// == upper == remaining) at construction and after any partial
     /// consumption — the one-pass engine pre-allocates from `len()`, so a
     /// drifting hint would mis-size its tables.
     #[test]
@@ -180,6 +181,27 @@ proptest! {
         // And the hint stays truthful down to exhaustion.
         prop_assert_eq!(naive.count(), left);
         prop_assert_eq!(blocked.count(), left);
+        // Every registry trace's views are exact too, at construction,
+        // after a positional skip, after stepping, and to exhaustion.
+        for kernel in balance_kernels::profservice::registry() {
+            let Some(trace) = kernel.access_trace(n + 1) else { continue };
+            let total = usize::try_from(trace.len()).unwrap();
+            let mut accesses = trace.into_accesses();
+            let mut addrs = kernel.access_trace(n + 1).unwrap().into_addrs();
+            prop_assert_eq!(accesses.size_hint(), (total, Some(total)), "{}", kernel.name());
+            prop_assert_eq!(addrs.size_hint(), (total, Some(total)), "{}", kernel.name());
+            let consumed = skip.min(total);
+            if consumed > 0 {
+                let _ = accesses.nth(consumed - 1);
+                let _ = addrs.nth(consumed - 1);
+            }
+            let _ = (accesses.next(), addrs.next());
+            let left = total.saturating_sub(consumed + 1);
+            prop_assert_eq!(accesses.size_hint(), (left, Some(left)), "{}", kernel.name());
+            prop_assert_eq!(addrs.len(), left, "{}", kernel.name());
+            prop_assert_eq!(accesses.count(), left, "{}", kernel.name());
+            prop_assert_eq!(addrs.count(), left, "{}", kernel.name());
+        }
     }
 
     /// Freivalds verification accepts every run the full reference check

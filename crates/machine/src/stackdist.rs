@@ -399,6 +399,19 @@ pub struct StackDistance {
     dirty: Option<DirtyState>,
 }
 
+/// The shift that maps a word address onto its `line_words`-sized line.
+///
+/// # Panics
+///
+/// Panics when `line_words` is not a power of two (zero included).
+fn line_shift(line_words: u64) -> u32 {
+    assert!(
+        line_words.is_power_of_two(),
+        "line size must be a positive power of two words, got {line_words}"
+    );
+    line_words.trailing_zeros()
+}
+
 impl Default for StackDistance {
     fn default() -> Self {
         StackDistance::new()
@@ -843,19 +856,21 @@ impl StackDistance {
 
     /// Feeds a whole tagged access trace, mapping each word address onto
     /// its `line_words`-sized line (consecutive same-line touches collapse
-    /// to distance-1 hits — spatial locality becomes visible).
+    /// to distance-1 hits — spatial locality becomes visible). Line ids
+    /// are a shift, not a per-access division.
     ///
     /// # Panics
     ///
-    /// Panics when `line_words` is zero.
+    /// Panics when `line_words` is not a power of two (zero included) —
+    /// the shape every line size in the workspace is validated to.
     pub fn observe_tagged_trace(
         &mut self,
         accesses: impl IntoIterator<Item = balance_core::Access>,
         line_words: u64,
     ) {
-        assert!(line_words > 0, "lines must hold at least one word");
+        let shift = line_shift(line_words);
         for a in accesses {
-            self.observe_tagged(a.addr / line_words, a.is_write());
+            self.observe_tagged(a.addr >> shift, a.is_write());
         }
     }
 
@@ -1019,8 +1034,11 @@ impl StackDistance {
     }
 
     /// Replays a whole trace through a fresh unbounded-address engine; the
-    /// iterator's `size_hint` (exact for the workspace's streaming trace
-    /// generators — pinned by regression test) pre-sizes the slot space.
+    /// iterator's `size_hint` pre-sizes the slot space. The hint is exact
+    /// for every canonical trace view (`balance-kernels`' `AccessTrace`
+    /// `into_addrs`/`into_accesses`, and the matmul `NaiveTrace` /
+    /// `BlockedTrace` generators — pinned by regression test); a
+    /// lower hint only costs slot-space doublings.
     #[must_use]
     pub fn profile_of(addrs: impl IntoIterator<Item = u64>) -> CapacityProfile {
         let iter = addrs.into_iter();
@@ -1055,7 +1073,7 @@ impl StackDistance {
     ///
     /// # Panics
     ///
-    /// Panics when `line_words` is zero.
+    /// Panics when `line_words` is not a power of two.
     #[must_use]
     pub fn traffic_profile_of(
         accesses: impl IntoIterator<Item = balance_core::Access>,
@@ -1075,14 +1093,14 @@ impl StackDistance {
     /// # Panics
     ///
     /// As [`StackDistance::with_address_bound`]; also panics when
-    /// `line_words` is zero.
+    /// `line_words` is not a power of two.
     #[must_use]
     pub fn traffic_profile_of_bounded(
         accesses: impl IntoIterator<Item = balance_core::Access>,
         line_words: u64,
         addr_bound: u64,
     ) -> TrafficProfile {
-        assert!(line_words > 0, "lines must hold at least one word");
+        line_shift(line_words);
         let mut engine = Self::with_address_bound(addr_bound.div_ceil(line_words).max(1));
         engine.observe_tagged_trace(accesses, line_words);
         engine.into_traffic_profile(line_words)
@@ -2315,6 +2333,36 @@ mod tests {
     fn direct_backend_rejects_out_of_bound_addresses() {
         let mut engine = StackDistance::with_address_bound(8);
         engine.observe(8);
+    }
+
+    #[test]
+    fn tagged_entry_points_refuse_non_power_of_two_lines() {
+        // Line ids are a shift, so every tagged word-address entry point
+        // insists on a power-of-two line size (zero included) up front.
+        let trace = || (0..16u64).map(balance_core::Access::write);
+        for lw in [0u64, 3, 6, 12] {
+            let runs: [Box<dyn Fn()>; 3] = [
+                Box::new(move || StackDistance::new().observe_tagged_trace(trace(), lw)),
+                Box::new(move || drop(StackDistance::traffic_profile_of(trace(), lw))),
+                Box::new(move || drop(StackDistance::traffic_profile_of_bounded(trace(), lw, 16))),
+            ];
+            for run in runs {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                    .expect_err("non-power-of-two line size must panic");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert!(msg.contains("positive power of two"), "line {lw}: {msg}");
+            }
+        }
+        // Powers of two map by shift: word 13 sits on line 3 of 4 words.
+        let tp = StackDistance::traffic_profile_of_bounded(
+            [balance_core::Access::read(13), balance_core::Access::read(12)],
+            4,
+            16,
+        );
+        assert_eq!(tp.profile().compulsory_misses(), 1, "one line, touched twice");
     }
 
     #[test]
