@@ -18,6 +18,11 @@
 //!   per-access price of histogram accounting against a plain
 //!   direct-indexed LRU replay at one capacity (the engine's log-factor
 //!   overhead, which the sweep amortizes across its points).
+//! * `stackdist/histogram_renamed` — the same histogram through
+//!   `StackDistance::profile_of`, which promises no address bound and so
+//!   renames each address to a dense id on its first touch.
+//! * `histogram_renamed_over_direct` — the within-run ratio of the two
+//!   histogram passes: what renaming costs per access.
 //!
 //! * `checkpoint_overhead/off` vs `checkpoint_overhead/every_2e24` vs
 //!   `checkpoint_overhead/every_2e20` — the per-address price of the
@@ -95,6 +100,13 @@ fn bench_engine_overhead(c: &mut Criterion) {
             engine.into_profile()
         });
     });
+    g.bench_function("histogram_renamed", |b| {
+        b.iter(|| {
+            balance_machine::StackDistance::profile_of(
+                balance_kernels::matmul::NaiveTrace::new(n).map(|a| a.addr),
+            )
+        });
+    });
     g.bench_function("lru_direct", |b| {
         b.iter(|| {
             let mut cache = balance_machine::LruCache::with_address_bound(3072, 1, bound);
@@ -133,31 +145,14 @@ fn median_of<O>(runs: usize, mut f: impl FnMut() -> O) -> std::time::Duration {
     samples[samples.len() / 2]
 }
 
-/// Times trace generation against the direct histogram pass over the
-/// same matmul n = 96 trace, interleaved in one run, and appends the
-/// ratio as `trace_gen_over_histogram_direct` (the criterion shim's
-/// `"name": value` line protocol, folded into `BENCH_<n>.json` by the
+/// Prints a within-run ratio and appends it as `"name": ratio` (the
+/// criterion shim's line protocol, folded into `BENCH_<n>.json` by the
 /// bench-smoke script).
-fn bench_trace_gen_ratio(_c: &mut Criterion) {
-    let n = 96usize;
-    let bound = 3 * (n as u64) * (n as u64);
-    let histogram = || {
-        let mut engine = balance_machine::StackDistance::with_address_bound(bound);
-        engine.observe_trace(balance_kernels::trace::matmul(n).expect("in domain").into_addrs());
-        engine.into_profile()
-    };
-    let runs = if std::env::var_os("BENCH_SMOKE").is_some() { 3 } else { 7 };
-    let _ = (drain_trace(&MatMul, n), histogram()); // warm both paths
-    let gen = median_of(runs, || drain_trace(&MatMul, n));
-    let pass = median_of(runs, histogram);
-    let ratio = gen.as_secs_f64() / pass.as_secs_f64().max(1e-9);
-    println!(
-        "bench: trace_gen_over_histogram_direct          {ratio:.3} \
-         (trace_gen {gen:?} / histogram_direct {pass:?}, matmul n = {n})"
-    );
+fn report_ratio(name: &str, ratio: f64, detail: &str) {
+    println!("bench: {name:<40} {ratio:.3} ({detail})");
     if let Some(path) = std::env::var_os("BENCH_JSON") {
         use std::io::Write as _;
-        let line = format!("\"trace_gen_over_histogram_direct\": {ratio:.3}\n");
+        let line = format!("\"{name}\": {ratio:.3}\n");
         let written = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -167,6 +162,62 @@ fn bench_trace_gen_ratio(_c: &mut Criterion) {
             eprintln!("warning: BENCH_JSON write to {path:?} failed: {e}");
         }
     }
+}
+
+/// Timing runs per side of a within-run ratio.
+fn ratio_runs() -> usize {
+    if std::env::var_os("BENCH_SMOKE").is_some() {
+        3
+    } else {
+        7
+    }
+}
+
+/// The direct histogram pass over the matmul n = 96 trace.
+fn histogram_direct(n: usize) -> balance_machine::CapacityProfile {
+    let bound = 3 * (n as u64) * (n as u64);
+    let mut engine = balance_machine::StackDistance::with_address_bound(bound);
+    engine.observe_trace(balance_kernels::trace::matmul(n).expect("in domain").into_addrs());
+    engine.into_profile()
+}
+
+/// Times trace generation against the direct histogram pass over the
+/// same matmul n = 96 trace, interleaved in one run:
+/// `trace_gen_over_histogram_direct`.
+fn bench_trace_gen_ratio(_c: &mut Criterion) {
+    let n = 96usize;
+    let runs = ratio_runs();
+    let _ = (drain_trace(&MatMul, n), histogram_direct(n)); // warm both paths
+    let gen = median_of(runs, || drain_trace(&MatMul, n));
+    let pass = median_of(runs, || histogram_direct(n));
+    let ratio = gen.as_secs_f64() / pass.as_secs_f64().max(1e-9);
+    report_ratio(
+        "trace_gen_over_histogram_direct",
+        ratio,
+        &format!("trace_gen {gen:?} / histogram_direct {pass:?}, matmul n = {n}"),
+    );
+}
+
+/// Times the renaming histogram pass (`StackDistance::profile_of`)
+/// against the direct one over the same matmul n = 96 trace, in one run:
+/// `histogram_renamed_over_direct`.
+fn bench_renamed_ratio(_c: &mut Criterion) {
+    let n = 96usize;
+    let renamed = || {
+        balance_machine::StackDistance::profile_of(
+            balance_kernels::trace::matmul(n).expect("in domain").into_addrs(),
+        )
+    };
+    let runs = ratio_runs();
+    assert_eq!(renamed(), histogram_direct(n), "renaming changed the profile");
+    let direct = median_of(runs, || histogram_direct(n));
+    let pass = median_of(runs, renamed);
+    let ratio = pass.as_secs_f64() / direct.as_secs_f64().max(1e-9);
+    report_ratio(
+        "histogram_renamed_over_direct",
+        ratio,
+        &format!("histogram_renamed {pass:?} / histogram_direct {direct:?}, matmul n = {n}"),
+    );
 }
 
 fn bench_checkpoint_overhead(c: &mut Criterion) {
@@ -225,6 +276,7 @@ criterion_group!(
     bench_engine_overhead,
     bench_trace_gen,
     bench_trace_gen_ratio,
+    bench_renamed_ratio,
     bench_checkpoint_overhead
 );
 criterion_main!(benches);

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use balance_core::{CostProfile, HierarchySpec, IntensityModel};
-use balance_machine::{AnalyticProfile, CapacityProfile, ExternalStore, Pe, StackDistance};
+use balance_machine::{AnalyticProfile, CapacityProfile, ExternalStore, Pe};
 
 use crate::error::KernelError;
 use crate::reference;
@@ -117,7 +117,7 @@ impl Kernel for GridRelaxation {
         // stays within the trace's checked length).
         self.access_trace(n)?;
         let replayed = |iters: usize| {
-            crate::trace::grid(self.dim, iters).map(|t| StackDistance::profile_of(t.into_addrs()))
+            crate::trace::grid(self.dim, iters).map(crate::sweep::exact_profile)
         };
         let to_analytic = |p: &CapacityProfile| {
             let mut a = AnalyticProfile::new();

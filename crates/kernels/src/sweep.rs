@@ -45,10 +45,10 @@ use balance_core::{
     Words, WordsPerSec,
 };
 use balance_machine::{
-    resumable_replay, sampled_profile_of, sampled_profile_of_bounded, segmented_profile_of,
-    segmented_profile_resumable, AnalyticProfile, CapacityProfile, CheckpointPolicy, FaultPlan,
-    Hierarchy, LruCache, MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance,
-    StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
+    resumable_replay, sampled_profile_of, segmented_profile_of, segmented_profile_resumable,
+    AnalyticProfile, CapacityProfile, CheckpointPolicy, FaultPlan, Hierarchy, LruCache,
+    MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance, StackDistance,
+    TrafficProfile, MAX_SAMPLE_SHIFT,
 };
 
 use crate::error::KernelError;
@@ -804,14 +804,17 @@ pub(crate) fn direct_bound(bound: u64) -> Option<u64> {
     (bound > 0 && bound < u64::from(u32::MAX / 2)).then_some(bound)
 }
 
+/// A fresh engine over addresses below `bound`: direct-indexed where
+/// [`direct_bound`] admits the bound, renaming otherwise.
+fn engine_for(bound: u64) -> StackDistance {
+    direct_bound(bound).map_or_else(StackDistance::new, StackDistance::with_address_bound)
+}
+
 /// The exact serial Mattson histogram of a whole trace: replay's curve,
-/// bit for bit. On the direct backend ([`direct_bound`]) the trace's
-/// chunks feed the engine straight from the generator's buffer.
-fn exact_profile(trace: AccessTrace) -> CapacityProfile {
-    let Some(bound) = direct_bound(trace.addr_bound()) else {
-        return StackDistance::profile_of(trace.into_addrs());
-    };
-    let mut engine = StackDistance::with_address_bound(bound);
+/// bit for bit. The trace's chunks feed the engine straight from the
+/// generator's buffer.
+pub(crate) fn exact_profile(trace: AccessTrace) -> CapacityProfile {
+    let mut engine = engine_for(trace.addr_bound());
     trace.for_each_chunk(|chunk| {
         for a in chunk {
             engine.observe(a.addr);
@@ -822,8 +825,8 @@ fn exact_profile(trace: AccessTrace) -> CapacityProfile {
 
 /// The one-pass tagged [`TrafficProfile`] of a trace under `model`, on the
 /// backend [`direct_bound`] picks for the trace's address bound. The
-/// direct pass feeds the engine chunk by chunk, mapping words to lines
-/// by shift and demoting tags ([`device_access`]) in the chunk.
+/// pass feeds the engine chunk by chunk, mapping words to lines by shift
+/// and demoting tags ([`device_access`]) in the chunk.
 ///
 /// # Panics
 ///
@@ -831,15 +834,15 @@ fn exact_profile(trace: AccessTrace) -> CapacityProfile {
 /// [`TrafficModel::validate`] admits).
 pub(crate) fn tagged_profile(trace: AccessTrace, model: TrafficModel) -> TrafficProfile {
     let lw = model.line_words;
-    let Some(bound) = direct_bound(trace.addr_bound()) else {
-        return StackDistance::traffic_profile_of(device_accesses(trace, model), lw);
-    };
     assert!(
         lw.is_power_of_two(),
         "line size must be a positive power of two words, got {lw}"
     );
     let shift = lw.trailing_zeros();
-    let mut engine = StackDistance::with_address_bound(bound.div_ceil(lw).max(1));
+    let mut engine = match direct_bound(trace.addr_bound()) {
+        Some(bound) => StackDistance::with_address_bound(bound.div_ceil(lw).max(1)),
+        None => StackDistance::new(),
+    };
     trace.for_each_chunk(|chunk| {
         for &a in chunk {
             let a = device_access(model, a);
@@ -929,10 +932,7 @@ fn capacity_profile(
                 segment_range(kernel, n, start, end)
             })
         }
-        Engine::Sampled { shift } => match bound {
-            Some(b) => sampled_profile_of_bounded(trace.into_addrs(), b, shift),
-            None => sampled_profile_of(trace.into_addrs(), shift),
-        },
+        Engine::Sampled { shift } => sampled_profile_of(trace.into_addrs(), shift),
         _ => exact_profile(trace),
     })
 }
@@ -983,11 +983,18 @@ const LADDER_SHIFT_STEP: u32 = 4;
 /// rungs poll inside [`resumable_replay`] at the same cadence).
 const SAMPLED_DEADLINE_POLL: u64 = 1 << 20;
 
-/// Planning estimate of one-pass engine state per tracked address:
-/// last-access slot + recency-stack entry + marker/Fenwick bits, rounded
-/// up. Used only to *pre-trip* [`Budget::max_resident_bytes`] before
-/// allocating — a sizing model, not an rlimit.
-const TRACKED_ADDRESS_BYTES: u64 = 32;
+/// Planning estimate of the exact engine's state per address of the
+/// bound: last access (8) + two slots (16) + marker bits (½) + one
+/// histogram counter (8) + a segment worker's first-touch record (8).
+/// Used only to *pre-trip* [`Budget::max_resident_bytes`] before
+/// allocating — a sizing model, not an rlimit; a test pins the real
+/// allocation ([`StackDistance::resident_bytes`]) below it.
+const TRACKED_ADDRESS_BYTES: u64 = 48;
+
+/// The same per address a sampled rung renames: renamer slots at 25–50%
+/// load (32–64) + last access (8–16) + a doubling slot space (16–32) +
+/// histogram (8–16), with room for a sample above its expected size.
+const SAMPLED_ADDRESS_BYTES: u64 = 144;
 
 /// The next (cheaper, eventually approximate) rung below `engine` on the
 /// degradation ladder, or `None` at the floor:
@@ -999,7 +1006,8 @@ const TRACKED_ADDRESS_BYTES: u64 = 32;
 /// `Replay` enters at `stackdist`, its bit-identical one-pass
 /// equivalent. Every estimate ([`Budget::max_resident_bytes`],
 /// [`Budget::max_addresses`]) is monotone non-increasing down the
-/// ladder, so one downward pass settles all pre-checks.
+/// ladder (for any trace over 4 or more addresses), so one downward pass
+/// settles all pre-checks.
 fn next_rung(engine: Engine) -> Option<Engine> {
     match engine {
         // Analytic never enters the ladder (it is free and cannot trip a
@@ -1018,24 +1026,28 @@ fn next_rung(engine: Engine) -> Option<Engine> {
 
 /// Order-of-magnitude estimate of `engine`'s resident state for a trace
 /// of `len` addresses drawn from `bound` distinct ones (`len` stands in
-/// when the bound is unknown): [`TRACKED_ADDRESS_BYTES`] per address the
-/// inner exact engine must track, per concurrent worker. The sampled
-/// rungs use the hash-indexed backend, which tracks only the expected
-/// `bound · 2^-shift` sampled addresses — that is what makes them
-/// genuinely cheaper, not just faster.
+/// when the bound is unknown): [`TRACKED_ADDRESS_BYTES`] per address of
+/// the bound, per concurrent worker, for the exact rungs. The sampled
+/// rungs rename only the expected `bound · 2^-shift` sampled addresses
+/// ([`SAMPLED_ADDRESS_BYTES`] each) — that is what makes them genuinely
+/// cheaper, not just faster.
 fn estimated_resident_bytes(engine: Engine, bound: u64, len: u64) -> u64 {
     let tracked = if bound > 0 { bound } else { len };
     let (per_worker, workers) = match engine {
         // A finalized analytic histogram is O(#classes) — noise next to
         // any per-address table.
         Engine::Analytic => (0, 1),
-        Engine::Replay | Engine::StackDist => (tracked, 1),
-        Engine::StackDistPar { threads } => (tracked, resolve_threads(threads)),
-        Engine::Sampled { shift } => ((tracked >> shift).max(1), 1),
+        Engine::Replay | Engine::StackDist => (tracked.saturating_mul(TRACKED_ADDRESS_BYTES), 1),
+        Engine::StackDistPar { threads } => (
+            tracked.saturating_mul(TRACKED_ADDRESS_BYTES),
+            resolve_threads(threads),
+        ),
+        Engine::Sampled { shift } => (
+            (tracked >> shift).max(1).saturating_mul(SAMPLED_ADDRESS_BYTES),
+            1,
+        ),
     };
-    per_worker
-        .saturating_mul(TRACKED_ADDRESS_BYTES)
-        .saturating_mul(workers as u64)
+    per_worker.saturating_mul(workers as u64)
 }
 
 /// Addresses the inner exact engine processes — the quantity
@@ -1189,9 +1201,10 @@ fn checkpoint_name(kernel: &dyn Kernel, n: usize) -> String {
 
 /// One ladder rung's attempt at the profile. Exact rungs run through the
 /// resumable (checkpointed, deadline-polled, fault-checked) replay
-/// drivers; sampled rungs stream through [`SampledStackDistance`] on the
-/// hash-indexed backend with the same deadline/fault cadence (sampled
-/// state is small enough that checkpointing it is not worth the I/O).
+/// drivers; sampled rungs stream through [`SampledStackDistance`], which
+/// renames only its sampled addresses, with the same deadline/fault
+/// cadence (sampled state is small enough that checkpointing it is not
+/// worth the I/O).
 /// The returned [`Provenance`] carries the attempt's durability counters
 /// only.
 fn run_profile_attempt(
@@ -1213,10 +1226,7 @@ fn run_profile_attempt(
             ctl.policy = cfg.checkpoint.as_ref();
             ctl.faults = faults;
             ctl.deadline = deadline;
-            let fresh = || match direct_bound(bound) {
-                Some(b) => StackDistance::with_address_bound(b),
-                None => StackDistance::new(),
-            };
+            let fresh = || engine_for(bound);
             let (eng, stats) = resumable_replay(len, kernel_addrs(kernel, cfg.n), fresh, &ctl)?;
             Ok((
                 eng.into_profile(),
@@ -1449,6 +1459,31 @@ mod tests {
     use crate::matvec::MatVec;
     use balance_core::fit::FittedLaw;
     use balance_core::GrowthLaw;
+
+    #[test]
+    fn resident_estimate_covers_the_real_allocation() {
+        // The pre-trip estimate must never undercount what the rung's
+        // engine really allocates, read from its `Vec` capacities.
+        for (kernel, n) in [(&crate::fft::Fft as &dyn Kernel, 1 << 12), (&MatMul, 40)] {
+            let trace = trace_for(kernel, n).unwrap();
+            let (bound, len) = (trace.addr_bound(), trace.len());
+            let mut exact = StackDistance::with_address_bound(bound);
+            exact.observe_trace(kernel_addrs(kernel, n));
+            let mut sampled = SampledStackDistance::new(LADDER_SHIFT_STEP);
+            sampled.observe_trace(kernel_addrs(kernel, n));
+            for (engine, actual) in [
+                (Engine::StackDist, exact.resident_bytes()),
+                (Engine::Sampled { shift: LADDER_SHIFT_STEP }, sampled.resident_bytes()),
+            ] {
+                let estimated = estimated_resident_bytes(engine, bound, len);
+                assert!(
+                    estimated >= actual,
+                    "{} n = {n} {engine:?}: estimated {estimated} < actual {actual}",
+                    kernel.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn pow2_config() {
@@ -2531,9 +2566,9 @@ mod tests {
 
     #[test]
     fn tripped_resident_budget_degrades_to_sampling_and_reports_it() {
-        // matmul n = 12 tracks 3·12² = 432 addresses ≈ 13.8 kB of exact
-        // engine state: a 1 kB budget forces the sampled rung, whose
-        // hash-backend estimate (432/16 addresses) fits.
+        // matmul n = 12 tracks 3·12² = 432 addresses ≈ 20.7 kB of exact
+        // engine state: a 1 kB budget forces a sampled rung, and the
+        // one at rate 2^-8 (one renamed address) fits.
         let budget = Budget::unlimited().with_max_resident_bytes(1024);
         let cfg = SweepConfig {
             n: 12,

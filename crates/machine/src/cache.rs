@@ -16,23 +16,24 @@
 //!   `[0, 3n²)` range — the index is a flat `Vec<u32>` keyed by line id.
 //!   One array read per access, no hashing at all. This is the backend the
 //!   large-scale ablation (hundreds of millions of accesses) runs on.
-//! * **Open-addressed fallback** ([`LruCache::new`]): a Fibonacci-hashed
-//!   (FxHash-style multiplicative) linear-probing table with backward-shift
-//!   deletion, ≤ 50% load factor. Key and value are packed side by side in
-//!   one 16-byte slot, so each probe step touches a single cache line
-//!   instead of straddling two parallel arrays. A hit costs a single probe
-//!   sequence, and *every* miss reuses the probe's insertion slot
-//!   (entry-style): on an evicting miss the new line is inserted first and
-//!   the victim removed after, so the backward-shift can never move the
-//!   insertion slot out from under the probe — two probe sequences per
-//!   evicting miss (insert + removal), not three.
+//! * **Open-addressed fallback** ([`LruCache::new`]): the crate's shared
+//!   Fibonacci-hashed linear-probing table (`fxmap`, also the stack-distance
+//!   engine's address renamer), sized once for the capacity at ≤ 50% load.
+//!   A hit costs a single probe sequence, and *every* miss reuses the
+//!   probe's insertion slot (entry-style): on an evicting miss the new
+//!   line is inserted first and the victim removed after, so the
+//!   backward-shift can never move the insertion slot out from under the
+//!   probe — two probe sequences per evicting miss (insert + removal),
+//!   not three.
 //!
 //! Both backends are O(1) per access, no unsafe code, and bit-identical in
 //! behavior (pinned by property test against a model LRU).
 
+use crate::fxmap::FxMap;
+
 const NIL: usize = usize::MAX;
 
-/// Vacant marker in both index backends (also bounds the node arena: a
+/// Vacant marker in the direct index (also bounds the node arena: a
 /// cache can hold at most `u32::MAX - 1` lines).
 const EMPTY: u32 = u32::MAX;
 
@@ -43,107 +44,6 @@ struct Node {
     next: usize,
     /// Written since it was filled: eviction emits a write-back.
     dirty: bool,
-}
-
-/// One packed probe slot: key and node-arena index side by side, so a
-/// probe touches a single 16-byte slot (one cache line) instead of
-/// straddling two parallel arrays. `val == EMPTY` marks a vacant slot (so
-/// `0` keys need no special casing).
-#[derive(Debug, Clone, Copy)]
-struct FxSlot {
-    key: u64,
-    val: u32,
-}
-
-const VACANT: FxSlot = FxSlot { key: 0, val: EMPTY };
-
-/// Open-addressed line index: Fibonacci multiplicative hash, linear
-/// probing, backward-shift deletion, over packed [`FxSlot`]s.
-#[derive(Debug, Clone)]
-struct FxMap {
-    slots: Vec<FxSlot>,
-    mask: usize,
-    shift: u32,
-}
-
-impl FxMap {
-    /// A table sized for `entries` live keys at ≤ 50% load.
-    fn with_capacity(entries: usize) -> Self {
-        let size = (entries.max(1) * 2).next_power_of_two().max(8);
-        FxMap {
-            slots: vec![VACANT; size],
-            mask: size - 1,
-            shift: u64::BITS - size.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn ideal(&self, key: u64) -> usize {
-        // Fibonacci hashing: the golden-ratio multiplier diffuses the low
-        // bits that dense line ids vary in into the table's high bits.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// The slot holding `key` (`Ok`) or the slot where it would be
-    /// inserted (`Err`) — the entry-API primitive both paths share.
-    #[inline]
-    fn find(&self, key: u64) -> Result<usize, usize> {
-        let mut pos = self.ideal(key);
-        loop {
-            let slot = self.slots[pos];
-            if slot.val == EMPTY {
-                return Err(pos);
-            }
-            if slot.key == key {
-                return Ok(pos);
-            }
-            pos = (pos + 1) & self.mask;
-        }
-    }
-
-    /// The node index stored at a slot returned by [`FxMap::find`]'s `Ok`
-    /// arm.
-    #[inline]
-    fn val_at(&self, pos: usize) -> u32 {
-        self.slots[pos].val
-    }
-
-    /// Fills a slot previously returned by [`FxMap::find`]'s `Err` arm.
-    #[inline]
-    fn insert_at(&mut self, pos: usize, key: u64, val: u32) {
-        debug_assert_eq!(self.slots[pos].val, EMPTY, "insert into occupied slot");
-        self.slots[pos] = FxSlot { key, val };
-    }
-
-    /// Removes `key` (if present) with backward-shift deletion: no
-    /// tombstones, so probe lengths never degrade under churn.
-    fn remove(&mut self, key: u64) {
-        let Ok(mut hole) = self.find(key) else {
-            return;
-        };
-        let mut probe = hole;
-        loop {
-            probe = (probe + 1) & self.mask;
-            let slot = self.slots[probe];
-            if slot.val == EMPTY {
-                break;
-            }
-            let home = self.ideal(slot.key);
-            // `probe`'s entry may slide back into the hole only if its home
-            // slot is cyclically outside (hole, probe] — otherwise a lookup
-            // starting at `home` would never reach the hole.
-            let home_in_gap = if hole <= probe {
-                hole < home && home <= probe
-            } else {
-                home <= probe || home > hole
-            };
-            if !home_in_gap {
-                self.slots[hole] = slot;
-                hole = probe;
-            }
-        }
-        self.slots[hole].val = EMPTY;
-    }
 }
 
 /// The line-id → node index, in one of the two backend representations.
@@ -348,7 +248,7 @@ impl LruCache {
                 let Some(ins) = fx_slot else {
                     unreachable!("an Fx probe miss always yields an insertion slot")
                 };
-                map.insert_at(ins, key, idx as u32);
+                map.insert_at(ins, key, idx as u64);
                 if let Some(ek) = evicted_key {
                     map.remove(ek);
                 }

@@ -94,6 +94,7 @@ pub mod cache;
 pub mod checkpoint;
 pub mod error;
 pub mod faults;
+mod fxmap;
 pub mod hierarchy;
 pub mod memory;
 pub mod pe;

@@ -68,8 +68,9 @@ pub struct SampledStackDistance {
 }
 
 impl SampledStackDistance {
-    /// A sampled engine at rate `2^-shift` over an unbounded address
-    /// space (hash-indexed last-access table).
+    /// A sampled engine at rate `2^-shift` over any address space. The
+    /// inner engine renames each sampled address to a dense id, so it
+    /// tracks only the ~`2^-shift` share of addresses in the sample.
     ///
     /// # Panics
     ///
@@ -81,28 +82,9 @@ impl SampledStackDistance {
             "sampling shift {shift} exceeds {MAX_SAMPLE_SHIFT}"
         );
         SampledStackDistance {
-            engine: StackDistance::new(),
-            mask: (1u64 << shift) - 1,
-            shift,
-            accesses: 0,
-        }
-    }
-
-    /// A sampled engine at rate `2^-shift` whose addresses are promised
-    /// to lie in `[0, addr_bound)` (direct-indexed last-access table).
-    ///
-    /// # Panics
-    ///
-    /// As [`SampledStackDistance::new`] and
-    /// [`StackDistance::with_address_bound`].
-    #[must_use]
-    pub fn with_address_bound(shift: u32, addr_bound: u64) -> Self {
-        assert!(
-            shift <= MAX_SAMPLE_SHIFT,
-            "sampling shift {shift} exceeds {MAX_SAMPLE_SHIFT}"
-        );
-        SampledStackDistance {
-            engine: StackDistance::with_address_bound(addr_bound),
+            // The sample is a small share of the trace's addresses: start
+            // the slot space small and let it double.
+            engine: StackDistance::renamed(16),
             mask: (1u64 << shift) - 1,
             shift,
             accesses: 0,
@@ -137,6 +119,13 @@ impl SampledStackDistance {
         self.engine.distinct()
     }
 
+    /// Bytes the inner engine holds allocated
+    /// ([`StackDistance::resident_bytes`]).
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        self.engine.resident_bytes()
+    }
+
     /// Finalizes into an approximate [`CapacityProfile`] carrying the
     /// sampling rate ([`CapacityProfile::is_exact`] returns `false` for
     /// `shift > 0`).
@@ -147,7 +136,7 @@ impl SampledStackDistance {
 }
 
 /// Replays a whole trace through a fresh sampled engine at rate
-/// `2^-shift` (hash-indexed backend).
+/// `2^-shift`.
 ///
 /// # Panics
 ///
@@ -162,21 +151,21 @@ pub fn sampled_profile_of(
     engine.into_profile()
 }
 
-/// As [`sampled_profile_of`], with the direct-indexed backend for traces
-/// whose addresses lie in `[0, addr_bound)`.
+/// [`sampled_profile_of`] for traces whose addresses lie in
+/// `[0, addr_bound)`. The bound buys nothing here: the sampled engine
+/// renames, so it never allocates an `addr_bound`-sized table, and the
+/// result equals [`sampled_profile_of`]'s.
 ///
 /// # Panics
 ///
-/// As [`SampledStackDistance::with_address_bound`].
+/// As [`SampledStackDistance::new`].
 #[must_use]
 pub fn sampled_profile_of_bounded(
     addrs: impl IntoIterator<Item = u64>,
-    addr_bound: u64,
+    _addr_bound: u64,
     shift: u32,
 ) -> CapacityProfile {
-    let mut engine = SampledStackDistance::with_address_bound(shift, addr_bound);
-    engine.observe_trace(addrs);
-    engine.into_profile()
+    sampled_profile_of(addrs, shift)
 }
 
 #[cfg(test)]

@@ -61,15 +61,17 @@ struct SegmentPass {
     accesses: u64,
 }
 
+/// A fresh engine: direct-indexed under a bound, renaming otherwise.
+fn fresh_engine(addr_bound: Option<u64>) -> StackDistance {
+    addr_bound.map_or_else(StackDistance::new, StackDistance::with_address_bound)
+}
+
 /// Runs one per-range pass over `addrs`.
 fn segment_pass(
     addrs: impl IntoIterator<Item = u64>,
     addr_bound: Option<u64>,
 ) -> SegmentPass {
-    let mut engine = match addr_bound {
-        Some(bound) => StackDistance::with_address_bound(bound),
-        None => StackDistance::new(),
-    };
+    let mut engine = fresh_engine(addr_bound);
     engine.record_first_touches();
     engine.observe_trace(addrs);
     let final_stack = engine.final_stack();
@@ -149,10 +151,7 @@ where
     // One segment degenerates to the serial engine — skip the scaffolding.
     if ranges.len() <= 1 {
         let (start, end) = ranges.first().copied().unwrap_or((0, 0));
-        let mut engine = match addr_bound {
-            Some(bound) => StackDistance::with_address_bound(bound),
-            None => StackDistance::new(),
-        };
+        let mut engine = fresh_engine(addr_bound);
         engine.observe_trace(make_range(start, end));
         return engine.into_profile();
     }
@@ -179,10 +178,7 @@ where
 
 /// The sequential exact merge, in time order (see module docs).
 fn merge_passes(passes: Vec<SegmentPass>, addr_bound: Option<u64>) -> CapacityProfile {
-    let mut merged = match addr_bound {
-        Some(bound) => StackDistance::with_address_bound(bound),
-        None => StackDistance::new(),
-    };
+    let mut merged = fresh_engine(addr_bound);
     for pass in passes {
         merged.add_accesses(pass.accesses);
         merged.absorb_hist(&pass.hist);
@@ -236,10 +232,7 @@ fn segment_pass_resumable<I: Iterator<Item = u64>>(
     ctl: &ReplayControl<'_>,
 ) -> Result<(SegmentPass, ReplayStats), ReplayInterrupt> {
     let fresh = || {
-        let mut engine = match addr_bound {
-            Some(bound) => StackDistance::with_address_bound(bound),
-            None => StackDistance::new(),
-        };
+        let mut engine = fresh_engine(addr_bound);
         engine.record_first_touches();
         engine
     };

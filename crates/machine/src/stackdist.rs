@@ -35,9 +35,14 @@
 //! stays out of the Fenwick tree until the time pointer moves past it, so
 //! a push is one bit set, a reuse within the top 64 slots is one masked
 //! popcount with no tree walk, and any other reuse walks the tree twice
-//! (rank, then removal). Both `LruCache` index strategies are mirrored: a
-//! direct-indexed last-access table when the caller can bound the address
-//! space, a hash map otherwise.
+//! (rank, then removal). The last-access index is one flat table keyed by
+//! a dense id. A bounded engine's addresses are their own ids. An engine
+//! over an unbounded address space renames each address at the door to
+//! the next free id (first-touch order) through the open-addressed table
+//! [`crate::LruCache`] also uses, so its tables grow by push. Everything
+//! it exports is in original addresses: the final stack and snapshots
+//! map ids back through the table, and the first-touch record keeps the
+//! address it was given.
 //!
 //! Time is kept on a **logical `u64` clock**: the last-access index stores
 //! monotonically increasing logical timestamps, and a physical window
@@ -52,13 +57,13 @@
 //!
 //! Exactness against the replay model is pinned by property test:
 //! `misses_at(M)` is bit-identical to `LruCache::with_capacity_words(M)`
-//! replaying the same trace, for every `M`, on both backends.
+//! replaying the same trace, for every `M`, bounded or renamed.
 
 use balance_core::{HierarchySpec, LevelTraffic, Words};
 
-use std::collections::HashMap;
+use crate::fxmap::FxMap;
 
-/// Vacant marker in the direct-indexed last-access table. A logical
+/// Vacant marker in the last-access index. A logical
 /// timestamp never reaches `u64::MAX`: the clock counts observed touches,
 /// and a trace that long is physically unrepresentable.
 const EMPTY: u64 = u64::MAX;
@@ -235,69 +240,10 @@ impl MarkerTree {
     }
 }
 
-/// The address → last-access logical timestamp index, in one of two
-/// representations (mirroring [`crate::LruCache`]'s backends). Timestamps
-/// are the full `u64` logical clock, never a truncated physical slot.
-#[derive(Debug, Clone)]
-enum LastIndex {
-    /// Flat table keyed directly by address (`EMPTY` = never seen).
-    Direct(Vec<u64>),
-    /// Hash fallback for unbounded address spaces.
-    Map(HashMap<u64, u64>),
-}
-
 /// No-open-chain marker in the dirty index. A chain's max gap is a stack
 /// distance, bounded by the distinct-address count — it never reaches
 /// `u64::MAX`.
 const CLOSED: u64 = u64::MAX;
-
-/// The line → open dirty-chain running max, in the same two backend
-/// representations as [`LastIndex`].
-#[derive(Debug, Clone)]
-enum DirtyIndex {
-    /// Flat table keyed directly by line id (`CLOSED` = no open chain).
-    Direct(Vec<u64>),
-    /// Hash fallback for unbounded address spaces.
-    Map(HashMap<u64, u64>),
-}
-
-impl DirtyIndex {
-    fn get(&self, line: u64) -> Option<u64> {
-        match self {
-            DirtyIndex::Direct(table) => {
-                let v = table[line as usize];
-                (v != CLOSED).then_some(v)
-            }
-            DirtyIndex::Map(map) => map.get(&line).copied(),
-        }
-    }
-
-    fn set(&mut self, line: u64, max_gap: u64) {
-        match self {
-            DirtyIndex::Direct(table) => table[line as usize] = max_gap,
-            DirtyIndex::Map(map) => {
-                map.insert(line, max_gap);
-            }
-        }
-    }
-
-    /// The open chains as sorted `(line, max gap)` pairs (snapshot order).
-    fn open_pairs(&self) -> Vec<(u64, u64)> {
-        match self {
-            DirtyIndex::Direct(table) => table
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != CLOSED)
-                .map(|(line, &v)| (line as u64, v))
-                .collect(),
-            DirtyIndex::Map(map) => {
-                let mut pairs: Vec<(u64, u64)> = map.iter().map(|(&l, &v)| (l, v)).collect();
-                pairs.sort_unstable();
-                pairs
-            }
-        }
-    }
-}
 
 /// The tagged pass's write-back bookkeeping: dirty *chains*. A chain opens
 /// at each write of a line and closes at the line's next write (or stays
@@ -312,7 +258,9 @@ impl DirtyIndex {
 /// histogram query as Mattson's miss count.
 #[derive(Debug, Clone)]
 struct DirtyState {
-    index: DirtyIndex,
+    /// `index[id]` = the running max gap of the id's open chain (`CLOSED`
+    /// = no open chain), keyed like the engine's last-access index.
+    index: Vec<u64>,
     /// `wb_hist[d]` = closed chains with max gap exactly `d` (`wb_hist[0]`
     /// unused: a chain closes at a reuse, whose distance is ≥ 1).
     wb_hist: Vec<u64>,
@@ -322,15 +270,10 @@ struct DirtyState {
 }
 
 impl DirtyState {
-    /// A fresh dirty ledger on the backend matching the engine's
-    /// last-access index.
-    fn for_index(index: &LastIndex) -> Self {
-        let index = match index {
-            LastIndex::Direct(table) => DirtyIndex::Direct(vec![CLOSED; table.len()]),
-            LastIndex::Map(_) => DirtyIndex::Map(HashMap::new()),
-        };
+    /// A fresh dirty ledger over `ids` ids, no chain open.
+    fn new(ids: usize) -> Self {
         DirtyState {
-            index,
+            index: vec![CLOSED; ids],
             wb_hist: Vec::new(),
             open: 0,
         }
@@ -371,10 +314,17 @@ impl DirtyState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StackDistance {
-    index: LastIndex,
+    /// `index[id]` = the logical timestamp of the id's latest access
+    /// (`EMPTY` = never seen).
+    index: Vec<u64>,
+    /// The renamer of an unbounded address space: address → dense id,
+    /// ids taken in first-touch order (`0, 1, 2, …`), so the id-keyed
+    /// tables grow by push. `None` when addresses are promised below
+    /// `index.len()` and serve as their own ids.
+    ids: Option<FxMap<5>>,
     markers: MarkerTree,
-    /// `slot_addr[s]` = the address whose latest access lives in physical
-    /// slot `s`, for compaction. Meaningful only where
+    /// `slot_addr[s]` = the id whose latest access lives in physical slot
+    /// `s`, for compaction. Meaningful only where
     /// [`MarkerTree::live_slots`] says so — liveness lives in the marker
     /// bitmap, not in a sentinel value, so every `u64` is a valid address.
     slot_addr: Vec<u64>,
@@ -419,13 +369,14 @@ impl Default for StackDistance {
 }
 
 impl StackDistance {
-    /// An engine over an unbounded address space (hash-indexed last-access
-    /// table). Prefer [`StackDistance::with_address_bound`] when the trace's
-    /// addresses are known to be dense and bounded — it is substantially
-    /// faster, exactly as with [`crate::LruCache`].
+    /// An engine over an unbounded address space: each address is renamed
+    /// to a dense id on its first touch. Prefer
+    /// [`StackDistance::with_address_bound`] when the trace's addresses
+    /// are known to be dense and bounded — it skips the renaming lookup,
+    /// exactly as [`crate::LruCache`]'s direct backend skips hashing.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_slots(LastIndex::Map(HashMap::new()), 1024)
+        Self::renamed(1024)
     }
 
     /// An engine whose trace addresses are promised to lie in
@@ -450,14 +401,21 @@ impl StackDistance {
         let slots = bound
             .checked_mul(2)
             .unwrap_or_else(|| panic!("address bound overflows the slot space"));
-        Self::with_slots(LastIndex::Direct(vec![EMPTY; bound]), slots)
+        Self::with_slots(vec![EMPTY; bound], None, slots)
     }
 
-    fn with_slots(index: LastIndex, slots: usize) -> Self {
+    /// A renaming engine whose slot space starts at `slots` and doubles
+    /// as the distinct-address count outgrows it.
+    pub(crate) fn renamed(slots: usize) -> Self {
+        Self::with_slots(Vec::new(), Some(FxMap::with_capacity(0)), slots)
+    }
+
+    fn with_slots(index: Vec<u64>, ids: Option<FxMap<5>>, slots: usize) -> Self {
         let markers = MarkerTree::new(slots.max(16));
         let slots = markers.slots();
         StackDistance {
             index,
+            ids,
             markers,
             slot_addr: vec![0; slots],
             clock: 0,
@@ -496,6 +454,23 @@ impl StackDistance {
         self.accesses
     }
 
+    /// Bytes the engine holds allocated, read from its tables' real
+    /// capacities: the last-access index, the slot space (slot ids,
+    /// marker bits, Fenwick tree), the histograms, the renamer and any
+    /// dirty-chain or first-touch record.
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        let dirty = self.dirty.as_ref().map(|d| [&d.index, &d.wb_hist]);
+        let own = [&self.index, &self.slot_addr, &self.markers.bits, &self.markers.tree, &self.hist];
+        let words: usize = own
+            .into_iter()
+            .chain(self.first_touches.as_ref())
+            .chain(dirty.into_iter().flatten())
+            .map(Vec::capacity)
+            .sum();
+        words as u64 * 8 + self.ids.as_ref().map_or(0, FxMap::resident_bytes)
+    }
+
     /// Serializes the engine's complete observable state into a
     /// versioned, checksummed little-endian image (see
     /// [`crate::checkpoint`] for the format). The recency structure is
@@ -514,9 +489,10 @@ impl StackDistance {
             ByteWriter::with_capacity(64 + 8 * (stack.len() + self.hist.len() + ft_len));
         w.bytes(&CHECKPOINT_MAGIC);
         w.u16(CHECKPOINT_VERSION);
-        let (tag, bound) = match &self.index {
-            LastIndex::Map(_) => (0u8, 0u64),
-            LastIndex::Direct(table) => (1u8, table.len() as u64),
+        // Tag 0: renamed (no bound); tag 1: bounded by the index length.
+        let (tag, bound) = match &self.ids {
+            Some(_) => (0u8, 0u64),
+            None => (1u8, self.index.len() as u64),
         };
         w.u8(tag);
         let mut flags = u8::from(self.first_touches.is_some());
@@ -539,7 +515,15 @@ impl StackDistance {
         // v2 trailer: the tagged pass's dirty-chain state — closed-chain
         // histogram plus the open chains as sorted (line, max gap) pairs.
         if let Some(state) = &self.dirty {
-            let pairs = state.index.open_pairs();
+            let addrs = self.id_addrs();
+            let mut pairs: Vec<(u64, u64)> = state
+                .index
+                .iter()
+                .enumerate()
+                .filter(|&(_, &gap)| gap != CLOSED)
+                .map(|(id, &gap)| (addrs.as_ref().map_or(id as u64, |a| a[id]), gap))
+                .collect();
+            pairs.sort_unstable();
             w.u64(state.wb_hist.len() as u64);
             w.u64(pairs.len() as u64);
             w.u64_slice(&state.wb_hist);
@@ -562,7 +546,8 @@ impl StackDistance {
     /// for truncated images, wrong magic or version, checksum mismatches
     /// (any flipped byte), and structurally inconsistent payloads
     /// (duplicate recency-stack entries, addresses beyond the declared
-    /// bound) — never a panic or undefined behavior.
+    /// bound, open dirty chains on lines absent from the recency stack) —
+    /// never a panic or undefined behavior.
     pub fn restore(bytes: &[u8]) -> Result<StackDistance, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::{
             ByteReader, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -614,7 +599,7 @@ impl StackDistance {
                 if prev.is_some_and(|p| p >= line) {
                     return Err(corrupt("open dirty chains out of order"));
                 }
-                if max_gap == EMPTY {
+                if max_gap == CLOSED {
                     return Err(corrupt("open dirty chain carries the closed sentinel"));
                 }
                 prev = Some(line);
@@ -629,11 +614,10 @@ impl StackDistance {
             return Err(corrupt("clock below live-address count"));
         }
 
-        let (index, slots) = match tag {
+        let mut engine = match tag {
             0 => {
                 let cap = usize::try_from(live).map_err(|_| corrupt("live count overflows"))?;
-                (
-                    LastIndex::Map(HashMap::with_capacity(cap)),
+                Self::renamed(
                     cap.checked_mul(2)
                         .ok_or_else(|| corrupt("live count overflows"))?,
                 )
@@ -644,39 +628,29 @@ impl StackDistance {
                 }
                 let b = usize::try_from(bound)
                     .map_err(|_| corrupt("address bound overflows"))?;
-                (
-                    LastIndex::Direct(vec![EMPTY; b]),
-                    b.checked_mul(2)
-                        .ok_or_else(|| corrupt("address bound overflows"))?,
-                )
+                let slots = b
+                    .checked_mul(2)
+                    .ok_or_else(|| corrupt("address bound overflows"))?;
+                Self::with_slots(vec![EMPTY; b], None, slots)
             }
             _ => return Err(corrupt("unknown backend tag")),
         };
-        let mut engine = Self::with_slots(index, slots);
         // Rebuild the physical window exactly as compaction lays it out:
         // the live addresses take slots 0..live, timestamps just below
-        // the (restored) clock.
+        // the (restored) clock. A renamed engine re-renames the stack in
+        // recency order.
         let origin = clock - live;
         for (i, &addr) in stack.iter().enumerate() {
-            let t = origin + i as u64;
-            match &mut engine.index {
-                LastIndex::Direct(table) => {
-                    let a = usize::try_from(addr)
-                        .ok()
-                        .filter(|&a| a < table.len())
-                        .ok_or_else(|| corrupt("address beyond the declared bound"))?;
-                    if table[a] != EMPTY {
-                        return Err(corrupt("duplicate address in the recency stack"));
-                    }
-                    table[a] = t;
-                }
-                LastIndex::Map(map) => {
-                    if map.insert(addr, t).is_some() {
-                        return Err(corrupt("duplicate address in the recency stack"));
-                    }
-                }
+            if engine.ids.is_none() && addr >= bound {
+                return Err(corrupt("address beyond the declared bound"));
             }
-            engine.slot_addr[i] = addr;
+            let id = engine.id_of(addr);
+            let last = &mut engine.index[id as usize];
+            if *last != EMPTY {
+                return Err(corrupt("duplicate address in the recency stack"));
+            }
+            *last = origin + i as u64;
+            engine.slot_addr[i] = id;
         }
         let slots = engine.markers.slots();
         engine.markers.reset_packed(slots, stack.len());
@@ -687,61 +661,109 @@ impl StackDistance {
         engine.accesses = accesses;
         engine.first_touches = first_touches;
         if let Some((wb_hist, pairs)) = dirty_payload {
-            let mut state = DirtyState::for_index(&engine.index);
+            let mut state = DirtyState::new(engine.index.len());
             state.wb_hist = wb_hist;
             state.open = pairs.len() as u64;
             for (line, max_gap) in pairs {
-                if let DirtyIndex::Direct(table) = &state.index {
-                    if usize::try_from(line).ok().filter(|&l| l < table.len()).is_none() {
-                        return Err(corrupt("dirty line beyond the declared bound"));
-                    }
+                // Every line ever touched stays on the recency stack, so
+                // an open chain on any other line is a forged image.
+                let id = match &engine.ids {
+                    Some(ids) => ids.find(line).ok().map(|pos| ids.val_at(pos)),
+                    None => Some(line).filter(|&l| l < bound),
                 }
-                state.index.set(line, max_gap);
+                .filter(|&id| engine.index[id as usize] != EMPTY)
+                .ok_or_else(|| {
+                    corrupt("open dirty chain on a line absent from the recency stack")
+                })?;
+                state.index[id as usize] = max_gap;
             }
             engine.dirty = Some(state);
         }
         Ok(engine)
     }
 
-    /// Re-points `addr`'s index entry at the current clock and returns the
-    /// *physical* slot of its previous access, if any — compacting first
-    /// when the physical window is full, so the returned slot and the
-    /// current clock share one `origin`.
+    /// The engine's id for `addr`: the address itself on a bounded
+    /// engine, the renamer's id otherwise. A new id is the index's length,
+    /// so the id-keyed tables grow by one push here, on first touches only.
     #[inline]
-    fn index_touch(&mut self, addr: u64) -> Option<usize> {
-        if self.clock - self.origin == self.markers.slots() as u64 {
-            self.compact();
-        }
-        let t = self.clock;
-        let prev = match &mut self.index {
-            LastIndex::Direct(table) => {
-                let a = usize::try_from(addr)
-                    .ok()
-                    .filter(|&a| a < table.len())
-                    .unwrap_or_else(|| {
-                        panic!("address {addr} exceeds the declared address bound")
-                    });
-                let prev = table[a];
-                table[a] = t;
-                (prev != EMPTY).then_some(prev)
-            }
-            LastIndex::Map(map) => map.insert(addr, t),
+    fn id_of(&mut self, addr: u64) -> u64 {
+        let Some(ids) = &mut self.ids else {
+            return addr;
         };
-        prev.map(|pt| {
-            debug_assert!(pt >= self.origin, "stale timestamp survived compaction");
-            // In-window by construction: pt − origin < clock − origin ≤ slots.
-            (pt - self.origin) as usize
+        match ids.find(addr) {
+            Ok(pos) => ids.val_at(pos),
+            Err(pos) => {
+                let id = self.index.len();
+                ids.insert_at(pos, addr, id as u64);
+                ids.grow_past_half(id + 1);
+                self.index.push(EMPTY);
+                if let Some(state) = &mut self.dirty {
+                    state.index.push(CLOSED);
+                }
+                id as u64
+            }
+        }
+    }
+
+    /// The address each id stands for (`None` on a bounded engine, whose
+    /// ids are addresses) — read back from the renamer, for the cold
+    /// paths that export addresses.
+    fn id_addrs(&self) -> Option<Vec<u64>> {
+        self.ids.as_ref().map(|ids| {
+            let mut addrs = vec![0; self.index.len()];
+            for (addr, id) in ids.entries() {
+                addrs[id as usize] = addr;
+            }
+            addrs
         })
     }
 
-    /// Places `addr`'s fresh marker in the physical slot of the current
-    /// clock and advances the clock.
+    /// Moves `id` to the top of the recency stack and returns its stack
+    /// distance — the distinct ids touched since its previous access,
+    /// counting itself — or `None` at its first touch. Compacts first
+    /// when the physical window is full, so the previous access's slot
+    /// and the current clock share one `origin`.
     #[inline]
-    fn push_top(&mut self, addr: u64) {
-        let slot = (self.clock - self.origin) as usize;
-        self.markers.add(slot);
-        self.slot_addr[slot] = addr;
+    fn touch(&mut self, id: u64) -> Option<u64> {
+        if self.clock - self.origin == self.markers.slots() as u64 {
+            self.compact();
+        }
+        // Renamed ids are below the length by construction; on a bounded
+        // engine this is the caller's address promise.
+        let a = usize::try_from(id)
+            .ok()
+            .filter(|&a| a < self.index.len())
+            .unwrap_or_else(|| panic!("address {id} exceeds the declared address bound"));
+        let prev = std::mem::replace(&mut self.index[a], self.clock);
+        let distance = (prev != EMPTY).then(|| {
+            debug_assert!(prev >= self.origin, "stale timestamp survived compaction");
+            // In-window by construction: prev − origin < clock − origin ≤ slots.
+            let p = (prev - self.origin) as usize;
+            let d = self.markers.count_after(p) + 1;
+            self.markers.remove(p);
+            d
+        });
+        let top = (self.clock - self.origin) as usize;
+        self.markers.add(top);
+        self.slot_addr[top] = id;
         self.clock += 1;
+        distance
+    }
+
+    /// Counts one observed access of `addr` at stack distance `d`, or as
+    /// a first touch (`None`).
+    #[inline]
+    fn count(&mut self, addr: u64, d: Option<u64>) {
+        self.accesses += 1;
+        match d {
+            Some(d) => self.bump_hist(d),
+            None => {
+                self.compulsory += 1;
+                if let Some(rec) = &mut self.first_touches {
+                    rec.push(addr);
+                }
+            }
+        }
     }
 
     /// Counts one access at stack distance `d` into the histogram.
@@ -751,37 +773,36 @@ impl StackDistance {
         let d =
             usize::try_from(d).unwrap_or_else(|_| panic!("stack distance overflows usize"));
         if d >= self.hist.len() {
-            self.hist.resize(d + 1, 0);
+            self.grow_hist(d);
         }
         self.hist[d] += 1;
+    }
+
+    /// Extends the histogram through distance `d`: amortized doubling,
+    /// but never past a bounded engine's largest possible distance (its
+    /// bound), so the histogram holds at most one counter per address.
+    #[cold]
+    fn grow_hist(&mut self, d: usize) {
+        let limit = match self.ids {
+            Some(_) => usize::MAX,
+            None => self.index.len() + 1,
+        };
+        let target = (2 * self.hist.len()).min(limit).max(d + 1);
+        self.hist.reserve_exact(target - self.hist.len());
+        self.hist.resize(d + 1, 0);
     }
 
     /// Observes one word access, updating the distance histogram.
     ///
     /// # Panics
     ///
-    /// On the direct-indexed backend, panics if `addr` exceeds the bound
-    /// declared at construction.
+    /// On a bounded engine, panics if `addr` exceeds the bound declared at
+    /// construction.
     #[inline]
     pub fn observe(&mut self, addr: u64) {
-        self.accesses += 1;
-        match self.index_touch(addr) {
-            None => {
-                self.compulsory += 1;
-                if let Some(rec) = &mut self.first_touches {
-                    rec.push(addr);
-                }
-            }
-            Some(p) => {
-                // Stack distance: distinct addresses touched since the
-                // previous access of `addr`, counting `addr` itself (whose
-                // marker still sits at `p`).
-                let d = self.markers.count_after(p) + 1;
-                self.bump_hist(d);
-                self.markers.remove(p);
-            }
-        }
-        self.push_top(addr);
+        let id = self.id_of(addr);
+        let d = self.touch(id);
+        self.count(addr, d);
     }
 
     /// Feeds a whole address trace (any iterator — in particular the
@@ -808,49 +829,35 @@ impl StackDistance {
     /// As [`StackDistance::observe`].
     #[inline]
     pub fn observe_tagged(&mut self, line: u64, is_write: bool) {
-        self.accesses += 1;
-        let gap = match self.index_touch(line) {
-            None => {
-                self.compulsory += 1;
-                if let Some(rec) = &mut self.first_touches {
-                    rec.push(line);
-                }
-                None
-            }
-            Some(p) => {
-                let d = self.markers.count_after(p) + 1;
-                self.bump_hist(d);
-                self.markers.remove(p);
-                Some(d)
-            }
-        };
-        self.push_top(line);
+        let id = self.id_of(line);
+        let gap = self.touch(id);
+        self.count(line, gap);
         if self.dirty.is_none() && !is_write {
             // No chain can be open yet: reads before the first write need
             // no ledger at all.
             return;
         }
-        let state = self
-            .dirty
-            .get_or_insert_with(|| DirtyState::for_index(&self.index));
+        let ids = self.index.len();
+        let state = self.dirty.get_or_insert_with(|| DirtyState::new(ids));
+        let chain = &mut state.index[id as usize];
         // An open chain spans this access's gap: a dirty eviction inside
         // the gap is what the running max records. A first touch (no gap)
         // cannot have an open chain — the line was never seen, let alone
         // written.
-        let open = match (state.index.get(line), gap) {
+        let open = match ((*chain != CLOSED).then_some(*chain), gap) {
             (Some(m), Some(d)) => Some(m.max(d)),
             (open, _) => open,
         };
         if is_write {
             // The previous chain (if any) closes here with its final max;
             // this write opens a fresh one.
+            *chain = 0;
             match open {
                 Some(m) => state.close(m),
                 None => state.open += 1,
             }
-            state.index.set(line, 0);
         } else if let Some(m) = open {
-            state.index.set(line, m);
+            *chain = m;
         }
     }
 
@@ -887,9 +894,13 @@ impl StackDistance {
     /// The live addresses in recency order, oldest first — the engine's
     /// final LRU stack, bottom to top.
     pub(crate) fn final_stack(&self) -> Vec<u64> {
+        let addrs = self.id_addrs();
         self.markers
             .live_slots()
-            .map(|s| self.slot_addr[s])
+            .map(|s| {
+                let id = self.slot_addr[s];
+                addrs.as_ref().map_or(id, |a| a[id as usize])
+            })
             .collect()
     }
 
@@ -898,15 +909,11 @@ impl StackDistance {
     /// moves the marker to the top, but does **not** count an access —
     /// the per-segment passes already counted it.
     pub(crate) fn merge_observe(&mut self, addr: u64) {
-        match self.index_touch(addr) {
+        let id = self.id_of(addr);
+        match self.touch(id) {
             None => self.compulsory += 1,
-            Some(p) => {
-                let d = self.markers.count_after(p) + 1;
-                self.bump_hist(d);
-                self.markers.remove(p);
-            }
+            Some(d) => self.bump_hist(d),
         }
-        self.push_top(addr);
     }
 
     /// Moves `addr` to the top of the recency stack (inserting it if
@@ -914,10 +921,8 @@ impl StackDistance {
     /// step, restoring true last-access order after a segment's boundary
     /// touches land in first-touch order.
     pub(crate) fn touch_silent(&mut self, addr: u64) {
-        if let Some(p) = self.index_touch(addr) {
-            self.markers.remove(p);
-        }
-        self.push_top(addr);
+        let id = self.id_of(addr);
+        self.touch(id);
     }
 
     /// Adds another engine's distance histogram into this one.
@@ -1033,7 +1038,8 @@ impl StackDistance {
         }
     }
 
-    /// Replays a whole trace through a fresh unbounded-address engine; the
+    /// Replays a whole trace through a fresh unbounded-address engine,
+    /// which renames each address to a dense id on its first touch; the
     /// iterator's `size_hint` pre-sizes the slot space. The hint is exact
     /// for every canonical trace view (`balance-kernels`' `AccessTrace`
     /// `into_addrs`/`into_accesses`, and the matmul `NaiveTrace` /
@@ -1047,13 +1053,14 @@ impl StackDistance {
         // huge streamed trace does not pre-reserve gigabytes — compaction
         // grows the space on demand anyway.
         let hint = iter.size_hint().0.clamp(16, 1 << 20);
-        let mut engine = Self::with_slots(LastIndex::Map(HashMap::new()), hint);
+        let mut engine = Self::renamed(hint);
         engine.observe_trace(iter);
         engine.into_profile()
     }
 
-    /// As [`StackDistance::profile_of`], with the direct-indexed backend
-    /// for traces whose addresses lie in `[0, addr_bound)`.
+    /// As [`StackDistance::profile_of`], for traces whose addresses lie in
+    /// `[0, addr_bound)`: the addresses index the last-access table
+    /// directly, with no renaming.
     ///
     /// # Panics
     ///
@@ -1069,7 +1076,8 @@ impl StackDistance {
     }
 
     /// Replays a whole tagged trace at `line_words` granularity through a
-    /// fresh unbounded-address engine into a [`TrafficProfile`].
+    /// fresh unbounded-address engine (line ids renamed to dense ids on
+    /// first touch) into a [`TrafficProfile`].
     ///
     /// # Panics
     ///
@@ -1081,14 +1089,15 @@ impl StackDistance {
     ) -> TrafficProfile {
         let iter = accesses.into_iter();
         let hint = iter.size_hint().0.clamp(16, 1 << 20);
-        let mut engine = Self::with_slots(LastIndex::Map(HashMap::new()), hint);
+        let mut engine = Self::renamed(hint);
         engine.observe_tagged_trace(iter, line_words);
         engine.into_traffic_profile(line_words)
     }
 
-    /// As [`StackDistance::traffic_profile_of`], with the direct-indexed
-    /// backend for traces whose word addresses lie in `[0, addr_bound)`
-    /// (the line-id space is `addr_bound / line_words`, rounded up).
+    /// As [`StackDistance::traffic_profile_of`], for traces whose word
+    /// addresses lie in `[0, addr_bound)`: line ids index the tables
+    /// directly (the line-id space is `addr_bound / line_words`, rounded
+    /// up).
     ///
     /// # Panics
     ///
@@ -1109,7 +1118,7 @@ impl StackDistance {
     /// Squeezes the dead slots out of the time axis, preserving recency
     /// order, re-points the live markers, and re-bases the logical origin
     /// so the clock itself never resets. Doubles the slot space when more
-    /// than half the slots are live (only possible on the hash backend,
+    /// than half the slots are live (only possible on a renaming engine,
     /// whose distinct-address count is unbounded).
     fn compact(&mut self) {
         self.markers.debug_check();
@@ -1122,15 +1131,9 @@ impl StackDistance {
         let origin = self.clock - live as u64;
         let mut moved = 0usize;
         for (dst, src) in self.markers.live_slots().enumerate() {
-            let addr = self.slot_addr[src];
-            self.slot_addr[dst] = addr;
-            let t = origin + dst as u64;
-            match &mut self.index {
-                LastIndex::Direct(table) => table[addr as usize] = t,
-                LastIndex::Map(map) => {
-                    map.insert(addr, t);
-                }
-            }
+            let id = self.slot_addr[src];
+            self.slot_addr[dst] = id;
+            self.index[id as usize] = origin + dst as u64;
             moved += 1;
         }
         debug_assert_eq!(moved, live, "compaction must keep every live marker");
@@ -1735,7 +1738,7 @@ mod tests {
         // A tiny slot space forces many compactions: 16 distinct addresses
         // cycled 100 times through the minimum 16-slot engine.
         let trace: Vec<u64> = (0..1600u64).map(|i| (i * 5) % 16).collect();
-        let mut engine = StackDistance::with_slots(LastIndex::Map(HashMap::new()), 16);
+        let mut engine = StackDistance::renamed(16);
         engine.observe_trace(trace.iter().copied());
         let p = engine.into_profile();
         for m in 1..=17u64 {
@@ -1780,7 +1783,7 @@ mod tests {
                 trace.push(round * 10 + k);
             }
         }
-        let mut engine = StackDistance::with_slots(LastIndex::Map(HashMap::new()), 16);
+        let mut engine = StackDistance::renamed(16);
         engine.observe_trace(trace.iter().copied());
         let p = engine.into_profile();
         assert_eq!(p.compulsory_misses(), 402); // 400 round keys + the two MAXes
@@ -1794,7 +1797,7 @@ mod tests {
         // More distinct addresses than the initial slot space: compaction
         // must double rather than squeeze.
         let trace: Vec<u64> = (0..200u64).chain(0..200).collect();
-        let mut engine = StackDistance::with_slots(LastIndex::Map(HashMap::new()), 16);
+        let mut engine = StackDistance::renamed(16);
         engine.observe_trace(trace.iter().copied());
         let p = engine.into_profile();
         assert_eq!(p.compulsory_misses(), 200);
@@ -1869,7 +1872,7 @@ mod tests {
         // every position so some cuts land exactly on a compaction edge.
         let trace: Vec<u64> = (0..400u64).map(|i| (i * 5) % 16).collect();
         for cut in 0..=trace.len() {
-            let mut engine = StackDistance::with_slots(LastIndex::Map(HashMap::new()), 16);
+            let mut engine = StackDistance::renamed(16);
             engine.observe_trace(trace[..cut].iter().copied());
             let mut restored = StackDistance::restore(&engine.snapshot()).unwrap();
             restored.observe_trace(trace[cut..].iter().copied());
@@ -1921,16 +1924,13 @@ mod tests {
         }
     }
 
-    /// Both backends over the same slot space: direct-indexed with bound
+    /// Both engines over the same slot space: direct-indexed with bound
     /// `distinct` (slot space `2 · distinct`, rounded up to whole leaves)
-    /// and hashed with that slot space.
+    /// and renaming with that slot space.
     fn both_backends(distinct: u64) -> [(StackDistance, &'static str); 2] {
         [
             (StackDistance::with_address_bound(distinct), "direct"),
-            (
-                StackDistance::with_slots(LastIndex::Map(HashMap::new()), 2 * distinct as usize),
-                "hashed",
-            ),
+            (StackDistance::renamed(2 * distinct as usize), "hashed"),
         ]
     }
 
@@ -2021,7 +2021,7 @@ mod tests {
         // 300-address phase doubles again from a partial leaf.
         let mut trace = sweep_then_mix(100, 400, 4);
         trace.extend(sweep_then_mix(300, 1200, 5));
-        let engine = StackDistance::with_slots(LastIndex::Map(HashMap::new()), 64);
+        let engine = StackDistance::renamed(64);
         assert_eq!(engine.markers.slots(), 64);
         let mut grown = engine.clone();
         grown.observe_trace(trace.iter().copied());
@@ -2326,6 +2326,38 @@ mod tests {
             StackDistance::restore(&bad),
             Err(CheckpointError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn restore_rejects_dirty_chains_on_untouched_lines() {
+        use crate::checkpoint::{fnv1a, CheckpointError};
+        // Open chains on lines 3 and 9; move the second onto line 12,
+        // which the trace never touched — still ordered, still under the
+        // bound — and re-checksum. An accepted image would report a
+        // phantom write-back of line 12 at every capacity.
+        for (mut engine, what) in [
+            (StackDistance::new(), "renamed"),
+            (StackDistance::with_address_bound(16), "bounded"),
+        ] {
+            engine.observe_tagged(3, true);
+            engine.observe_tagged(9, true);
+            let image = engine.snapshot();
+            assert!(StackDistance::restore(&image).is_ok());
+            let payload_len = image.len() - 8;
+            let mut bad = image[..payload_len].to_vec();
+            // Tail layout: .. pairs(=2) (3,0) (9,0); the last pair's line.
+            let line_at = bad.len() - 2 * 8;
+            bad[line_at..line_at + 8].copy_from_slice(&12u64.to_le_bytes());
+            let sum = fnv1a(&bad).to_le_bytes();
+            bad.extend_from_slice(&sum);
+            assert!(
+                matches!(
+                    StackDistance::restore(&bad),
+                    Err(CheckpointError::Corrupt { .. })
+                ),
+                "{what} engine accepted a chain on an untouched line"
+            );
+        }
     }
 
     #[test]
