@@ -23,6 +23,11 @@
 //!   renames each address to a dense id on its first touch.
 //! * `histogram_renamed_over_direct` — the within-run ratio of the two
 //!   histogram passes: what renaming costs per access.
+//! * `stackdist/histogram_capped` — the direct histogram pass capped at
+//!   depth 4096 (`StackDistance::with_depth`), the largest capacity of a
+//!   default `balance sweep`: a 16K-slot space instead of 2 · 3·96².
+//! * `capped_over_direct` — the within-run ratio of the capped pass over
+//!   the uncapped direct one on the same trace.
 //!
 //! * `checkpoint_overhead/off` vs `checkpoint_overhead/every_2e24` vs
 //!   `checkpoint_overhead/every_2e20` — the per-address price of the
@@ -100,6 +105,14 @@ fn bench_engine_overhead(c: &mut Criterion) {
             engine.into_profile()
         });
     });
+    g.bench_function("histogram_capped", |b| {
+        b.iter(|| {
+            let mut engine = balance_machine::StackDistance::with_address_bound(bound)
+                .with_depth(CAPPED_DEPTH);
+            engine.observe_trace(balance_kernels::matmul::NaiveTrace::new(n).map(|a| a.addr));
+            engine.into_profile()
+        });
+    });
     g.bench_function("histogram_renamed", |b| {
         b.iter(|| {
             balance_machine::StackDistance::profile_of(
@@ -173,12 +186,22 @@ fn ratio_runs() -> usize {
     }
 }
 
-/// The direct histogram pass over the matmul n = 96 trace.
-fn histogram_direct(n: usize) -> balance_machine::CapacityProfile {
+/// The depth cap of `stackdist/histogram_capped`: the largest capacity of
+/// a default `balance sweep` (2⁵ … 2¹² words).
+const CAPPED_DEPTH: u64 = 1 << 12;
+
+/// The direct histogram pass over the matmul trace at `n`, capped at
+/// `depth` (`u64::MAX` = uncapped).
+fn histogram(n: usize, depth: u64) -> balance_machine::CapacityProfile {
     let bound = 3 * (n as u64) * (n as u64);
-    let mut engine = balance_machine::StackDistance::with_address_bound(bound);
+    let mut engine = balance_machine::StackDistance::with_address_bound(bound).with_depth(depth);
     engine.observe_trace(balance_kernels::trace::matmul(n).expect("in domain").into_addrs());
     engine.into_profile()
+}
+
+/// The uncapped direct histogram pass over the matmul trace at `n`.
+fn histogram_direct(n: usize) -> balance_machine::CapacityProfile {
+    histogram(n, u64::MAX)
 }
 
 /// Times trace generation against the direct histogram pass over the
@@ -217,6 +240,29 @@ fn bench_renamed_ratio(_c: &mut Criterion) {
         "histogram_renamed_over_direct",
         ratio,
         &format!("histogram_renamed {pass:?} / histogram_direct {direct:?}, matmul n = {n}"),
+    );
+}
+
+/// Times the direct histogram pass capped at [`CAPPED_DEPTH`] against the
+/// uncapped one over the same matmul n = 96 trace, in one run:
+/// `capped_over_direct`.
+fn bench_capped_ratio(_c: &mut Criterion) {
+    let n = 96usize;
+    let runs = ratio_runs();
+    let (capped, direct) = (histogram(n, CAPPED_DEPTH), histogram_direct(n));
+    for m in (0..=12).map(|k| 1u64 << k) {
+        assert_eq!(capped.misses_at(m), direct.misses_at(m), "the cap changed m = {m}");
+    }
+    let direct = median_of(runs, || histogram_direct(n));
+    let pass = median_of(runs, || histogram(n, CAPPED_DEPTH));
+    let ratio = pass.as_secs_f64() / direct.as_secs_f64().max(1e-9);
+    report_ratio(
+        "capped_over_direct",
+        ratio,
+        &format!(
+            "histogram_capped {pass:?} / histogram_direct {direct:?}, matmul n = {n}, \
+             depth {CAPPED_DEPTH}"
+        ),
     );
 }
 
@@ -277,6 +323,7 @@ criterion_group!(
     bench_trace_gen,
     bench_trace_gen_ratio,
     bench_renamed_ratio,
+    bench_capped_ratio,
     bench_checkpoint_overhead
 );
 criterion_main!(benches);

@@ -117,7 +117,8 @@ impl Kernel for GridRelaxation {
         // stays within the trace's checked length).
         self.access_trace(n)?;
         let replayed = |iters: usize| {
-            crate::trace::grid(self.dim, iters).map(crate::sweep::exact_profile)
+            crate::trace::grid(self.dim, iters)
+                .map(|trace| crate::sweep::exact_profile(trace, u64::MAX))
         };
         let to_analytic = |p: &CapacityProfile| {
             let mut a = AnalyticProfile::new();

@@ -250,7 +250,7 @@ impl<'a> ProfileService<'a> {
                         kernel.name()
                     ),
                 })?;
-            let traffic = tagged_profile(trace, model);
+            let traffic = tagged_profile(trace, model, u64::MAX);
             let meta = ProfileMeta {
                 kernel: kernel.name().to_string(),
                 n: n as u64,

@@ -73,7 +73,16 @@ pub enum Engine {
     /// [`LruCache`] / [`Hierarchy`] model — the reference engine.
     Replay,
     /// One trace replay total: Mattson stack-distance accounting
-    /// ([`StackDistance`]), every capacity read off the histogram.
+    /// ([`StackDistance`]), every capacity read off the histogram. A
+    /// sweep caps the pass at its largest queried capacity `D` (memories
+    /// and outer levels; in lines on the device path): by LRU inclusion
+    /// every answer reads only the top `D` stack entries, so the engine
+    /// ranks reuses among those alone and counts deeper ones as misses,
+    /// in `O(|trace| · log min(U, D))` time and `O(bound + D)` memory
+    /// ([`StackDistance::with_depth`]). Every other caller of the
+    /// one-pass engine (the profile service, store builds, budgeted and
+    /// checkpointed runs, segmented and sampled tiers, the grid
+    /// bootstrap) needs whole curves and stays uncapped.
     #[default]
     StackDist,
     /// Segmented parallel Mattson: the trace split into time ranges, one
@@ -527,8 +536,12 @@ pub fn sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, Kern
     let comp = trace.comp_ops();
     let capacities =
         |m: usize| std::iter::once(m as u64).chain(cfg.outer.iter().map(|l| l.capacity().get()));
+    // LRU inclusion: every answer reads only the top of the recency stack,
+    // through the largest capacity the sweep queries.
+    let depth = memories.iter().flat_map(|&m| capacities(m)).max().unwrap_or(1);
     if needs_device_path(cfg) {
-        let tp = tagged_profile(trace, cfg.traffic);
+        let lines = (depth / cfg.traffic.line_words).max(1);
+        let tp = tagged_profile(trace, cfg.traffic, lines);
         let results = memories.iter().map(|&m| {
             let (reads, wbs): (Vec<u64>, Vec<u64>) = capacities(m)
                 .map(|c| (tp.read_words_at(c), tp.writeback_words_at(c)))
@@ -546,7 +559,7 @@ pub fn sweep(kernel: &dyn Kernel, cfg: &SweepConfig) -> Result<SweepResult, Kern
         let (profile, prov) = robust_capacity_profile(kernel, cfg, &FaultPlan::none())?;
         (profile, Some(prov))
     } else {
-        (capacity_profile(kernel, cfg.n, engine)?, None)
+        (capacity_profile(kernel, cfg.n, engine, depth)?, None)
     };
     let results = memories.iter().map(|&m| {
         let traffic: Vec<u64> = capacities(m).map(|c| profile.misses_at(c)).collect();
@@ -811,10 +824,11 @@ fn engine_for(bound: u64) -> StackDistance {
 }
 
 /// The exact serial Mattson histogram of a whole trace: replay's curve,
-/// bit for bit. The trace's chunks feed the engine straight from the
-/// generator's buffer.
-pub(crate) fn exact_profile(trace: AccessTrace) -> CapacityProfile {
-    let mut engine = engine_for(trace.addr_bound());
+/// bit for bit, at every capacity up to `depth` (the engine's depth cap;
+/// `u64::MAX` answers every capacity). The trace's chunks feed the engine
+/// straight from the generator's buffer.
+pub(crate) fn exact_profile(trace: AccessTrace, depth: u64) -> CapacityProfile {
+    let mut engine = engine_for(trace.addr_bound()).with_depth(depth);
     trace.for_each_chunk(|chunk| {
         for a in chunk {
             engine.observe(a.addr);
@@ -824,15 +838,20 @@ pub(crate) fn exact_profile(trace: AccessTrace) -> CapacityProfile {
 }
 
 /// The one-pass tagged [`TrafficProfile`] of a trace under `model`, on the
-/// backend [`direct_bound`] picks for the trace's address bound. The
-/// pass feeds the engine chunk by chunk, mapping words to lines by shift
-/// and demoting tags ([`device_access`]) in the chunk.
+/// backend [`direct_bound`] picks for the trace's address bound, capped at
+/// `depth` **lines** (`u64::MAX` = uncapped). The pass feeds the engine
+/// chunk by chunk, mapping words to lines by shift and demoting tags
+/// ([`device_access`]) in the chunk.
 ///
 /// # Panics
 ///
 /// Panics when `model.line_words` is not a power of two (the shape
 /// [`TrafficModel::validate`] admits).
-pub(crate) fn tagged_profile(trace: AccessTrace, model: TrafficModel) -> TrafficProfile {
+pub(crate) fn tagged_profile(
+    trace: AccessTrace,
+    model: TrafficModel,
+    depth: u64,
+) -> TrafficProfile {
     let lw = model.line_words;
     assert!(
         lw.is_power_of_two(),
@@ -842,7 +861,8 @@ pub(crate) fn tagged_profile(trace: AccessTrace, model: TrafficModel) -> Traffic
     let mut engine = match direct_bound(trace.addr_bound()) {
         Some(bound) => StackDistance::with_address_bound(bound.div_ceil(lw).max(1)),
         None => StackDistance::new(),
-    };
+    }
+    .with_depth(depth);
     trace.for_each_chunk(|chunk| {
         for &a in chunk {
             let a = device_access(model, a);
@@ -904,7 +924,8 @@ fn analytic_profile(kernel: &dyn Kernel, n: usize) -> Result<CapacityProfile, Ke
 }
 
 /// Builds the kernel's [`CapacityProfile`] on a resolved profile engine,
-/// unbudgeted.
+/// unbudgeted. The serial one-pass engine is capped at `depth` words; the
+/// other tiers answer every capacity.
 ///
 /// # Errors
 ///
@@ -914,6 +935,7 @@ fn capacity_profile(
     kernel: &dyn Kernel,
     n: usize,
     engine: Engine,
+    depth: u64,
 ) -> Result<CapacityProfile, KernelError> {
     if engine == Engine::Analytic {
         return analytic_profile(kernel, n);
@@ -933,7 +955,7 @@ fn capacity_profile(
             })
         }
         Engine::Sampled { shift } => sampled_profile_of(trace.into_addrs(), shift),
-        _ => exact_profile(trace),
+        _ => exact_profile(trace, depth),
     })
 }
 /// Resolves a [`Engine::StackDistPar`] thread count (`0` = the host's
@@ -2462,6 +2484,66 @@ mod tests {
                 traffic.as_slice(),
                 "m = {}",
                 run.m
+            );
+        }
+    }
+
+    #[test]
+    fn capped_ladder_sweep_equals_replay_point_for_point() {
+        // The outer level (64 words) is the sweep's largest capacity, so it
+        // sets the depth cap, far below both traces' distinct addresses:
+        // every reuse deeper than 64 is evicted, yet every point, word and
+        // line-granular, must equal one LRU/Hierarchy replay per memory.
+        let outer = outer_levels(&[64]);
+        for (kernel, n) in [(&MatMul as &dyn Kernel, 10), (&crate::fft::Fft, 256)] {
+            let cfg = SweepConfig {
+                n,
+                memories: vec![4, 8, 16, 32],
+                engine: Engine::Replay,
+                ..SweepConfig::default()
+            };
+            let trace = trace_for(kernel, n).unwrap();
+            assert!(trace.addr_bound() > 4 * 64, "{}: the cap must bind", kernel.name());
+            assert_eq!(exact_profile(trace, 64).depth(), Some(64));
+            for traffic in [TrafficModel::WORD, TrafficModel::device(4)] {
+                let cfg = cfg.clone().with_traffic(traffic);
+                let replay = cache_model(kernel, &cfg, &outer).unwrap();
+                let onepass =
+                    cache_model(kernel, &cfg.with_engine(Engine::StackDist), &outer).unwrap();
+                assert_eq!(replay.runs.len(), 4);
+                assert_eq!(replay.runs, onepass.runs, "{} {traffic:?}", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    fn an_outer_level_past_the_bound_is_the_uncapped_sweep() {
+        // A 2^40-word outer level sets the cap far past the address bound:
+        // the numbers are the uncapped engine's, and the slot space
+        // (min(2 · bound, 4 · D), saturating) allocates nothing by D.
+        let cfg = SweepConfig {
+            n: 256,
+            memories: vec![8, 64, 512],
+            engine: Engine::StackDist,
+            ..SweepConfig::default()
+        };
+        let kernel = &crate::fft::Fft;
+        let swept = cache_model(kernel, &cfg, &outer_levels(&[1 << 40])).unwrap();
+        let uncapped = exact_profile(trace_for(kernel, 256).unwrap(), u64::MAX);
+        for run in &swept.runs {
+            let io = [uncapped.misses_at(run.m as u64), uncapped.misses_at(1 << 40)];
+            assert_eq!(run.execution.cost.traffic().as_slice(), io, "m = {}", run.m);
+        }
+        let bound = trace_for(kernel, 256).unwrap().addr_bound();
+        let mut capped = engine_for(bound).with_depth(1 << 40);
+        let mut plain = engine_for(bound);
+        capped.observe_trace(kernel_addrs(kernel, 256));
+        plain.observe_trace(kernel_addrs(kernel, 256));
+        assert_eq!(capped.resident_bytes(), plain.resident_bytes());
+        for depth in [u64::MAX / 3, u64::MAX - 1] {
+            assert_eq!(
+                engine_for(bound).with_depth(depth).resident_bytes(),
+                engine_for(bound).resident_bytes()
             );
         }
     }

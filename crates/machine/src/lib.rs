@@ -114,8 +114,9 @@ pub use checkpoint::{
 pub use error::MachineError;
 pub use faults::{FaultPlan, InjectedFault, StoreFault};
 pub use profstore::{
-    decode_profile, encode_profile, FsckReport, Lookup, ProfileImageError, ProfileKey,
-    ProfileMeta, ProfilePayload, ProfileStore, StoreError, PROFILE_MAGIC, PROFILE_VERSION,
+    decode_profile, encode_profile, try_encode_profile, FsckReport, Lookup, ProfileImageError,
+    ProfileKey, ProfileMeta, ProfilePayload, ProfileStore, StoreError, PROFILE_MAGIC,
+    PROFILE_VERSION,
 };
 pub use hierarchy::{Hierarchy, MemorySystem};
 pub use sampling::{

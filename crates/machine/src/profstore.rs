@@ -103,6 +103,14 @@ pub enum ProfileImageError {
     },
     /// Filesystem failure while reading the image.
     Io(io::Error),
+    /// The profile was measured by an engine capped at stack depth
+    /// `depth` ([`crate::StackDistance::with_depth`]). It answers no
+    /// capacity above the cap, so it is never encoded: an image must
+    /// answer every capacity a reader asks.
+    Capped {
+        /// The profile's depth cap.
+        depth: u64,
+    },
 }
 
 impl fmt::Display for ProfileImageError {
@@ -124,6 +132,11 @@ impl fmt::Display for ProfileImageError {
             ),
             ProfileImageError::Corrupt { reason } => write!(f, "corrupt profile image: {reason}"),
             ProfileImageError::Io(e) => write!(f, "profile image I/O failure: {e}"),
+            ProfileImageError::Capped { depth } => write!(
+                f,
+                "profile capped at depth {depth} answers no capacity above it; \
+                 only uncapped profiles are encoded"
+            ),
         }
     }
 }
@@ -321,9 +334,28 @@ impl ProfilePayload {
 
 /// Encodes one profile as a `KBCP` image (header, payload, trailing
 /// FNV-1a checksum). The inverse of [`decode_profile`].
+///
+/// # Errors
+///
+/// [`ProfileImageError::Capped`] for a profile measured under a depth cap.
+pub fn try_encode_profile(
+    meta: &ProfileMeta,
+    payload: &ProfilePayload,
+) -> Result<Vec<u8>, ProfileImageError> {
+    match payload.profile().depth() {
+        Some(depth) => Err(ProfileImageError::Capped { depth }),
+        None => Ok(encode_with_version(meta, payload, PROFILE_VERSION)),
+    }
+}
+
+/// [`try_encode_profile`] for a profile known to be uncapped.
+///
+/// # Panics
+///
+/// On a capped profile, with the [`ProfileImageError::Capped`] message.
 #[must_use]
 pub fn encode_profile(meta: &ProfileMeta, payload: &ProfilePayload) -> Vec<u8> {
-    encode_with_version(meta, payload, PROFILE_VERSION)
+    try_encode_profile(meta, payload).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`encode_profile`] with an explicit version stamp — the hook the
@@ -668,7 +700,8 @@ impl ProfileStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the image or manifest cannot be persisted.
+    /// [`StoreError`] when the image or manifest cannot be persisted, or
+    /// when the profile is capped (see [`ProfileStore::put_with`]).
     pub fn put(&self, meta: &ProfileMeta, payload: &ProfilePayload) -> Result<(), StoreError> {
         self.put_with(meta, payload, &FaultPlan::none())
     }
@@ -693,7 +726,9 @@ impl ProfileStore {
     /// # Errors
     ///
     /// [`StoreError`] for real (or injected `ENOSPC`) filesystem
-    /// failures.
+    /// failures, and for a capped profile, which is refused before any
+    /// fault is consumed: its source is an `InvalidInput` I/O error
+    /// wrapping [`ProfileImageError::Capped`].
     pub fn put_with(
         &self,
         meta: &ProfileMeta,
@@ -702,6 +737,15 @@ impl ProfileStore {
     ) -> Result<(), StoreError> {
         let key = meta.key();
         let path = self.dir.join(key.file_name());
+        if let Some(depth) = payload.profile().depth() {
+            return Err(StoreError {
+                path,
+                source: io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    ProfileImageError::Capped { depth },
+                ),
+            });
+        }
         match faults.take_store_fault() {
             Some(StoreFault::Enospc) => {
                 return Err(StoreError {

@@ -51,6 +51,26 @@
 //! address) trace cannot overflow the bookkeeping, where the previous
 //! `u32` slot representation silently truncated past `u32::MAX`.
 //!
+//! **Depth cap.** By inclusion, `misses(M)` depends only on the top `M`
+//! entries of the recency stack, so a caller that queries no capacity
+//! above `D` can cap the engine at depth `D`
+//! ([`StackDistance::with_depth`]). A capped engine keeps a live marker
+//! for the `D` most recently touched ids only: pushing the `(D+1)`-th
+//! evicts the oldest, found by a forward scan from a *floor* pointer that
+//! then moves past it. A reuse whose previous touch lies below the floor
+//! is deeper than `D`: it walks no tree and is counted at distance `D + 1`
+//! (a miss at every capacity up to `D`; in the tagged pass it enters the
+//! dirty chain's max gap as `D + 1`). The eviction invariant: every
+//! evicted marker lies below every live one, so evicted bits — left set
+//! until the next compaction, which packs only from the floor up — never
+//! change a live marker's `count_after`, and every answer at `M ≤ D` is
+//! bit-identical to the uncapped engine's. The slot space is
+//! `min(2 · bound, 4 · D)`, so the marker tree and the `D + 2`-counter
+//! histogram stay in L1/L2: `O(|trace| · log min(U, D))` time in
+//! `O(bound + D)` memory. The profile carries `D` and panics on a query
+//! above it; snapshots, the segmented merge and KBCP images refuse capped
+//! engines. `D = u64::MAX` is the uncapped engine, on the same code path.
+//!
 //! Two scaled companions build on this engine for billion-address traces:
 //! [`crate::segmented`] (exact parallel Mattson over time ranges) and
 //! [`crate::sampling`] (SHARDS-style hash-sampled approximate profiles).
@@ -94,6 +114,10 @@ const EMPTY: u64 = u64::MAX;
 ///
 /// So a reuse walks the tree at most twice, and a reuse whose previous
 /// touch sits in the open leaf — the common short reuse — never does.
+///
+/// The tree counts set bits. A capped engine's evicted markers keep theirs
+/// until the next compaction, all below the engine's floor, so
+/// `count_after` of a slot at or above the floor never counts them.
 #[derive(Debug, Clone)]
 struct MarkerTree {
     /// Bit `i & 63` of `bits[i >> 6]` = slot `i` is live.
@@ -104,6 +128,8 @@ struct MarkerTree {
     /// The open leaf: not in the Fenwick tree; every leaf above it is
     /// empty.
     open: usize,
+    /// Set bits: the live markers, plus a capped engine's evicted ones
+    /// below its floor.
     live: u64,
 }
 
@@ -186,6 +212,19 @@ impl MarkerTree {
         }
     }
 
+    /// The first set slot at or after `from`. Some set slot must lie
+    /// there (the scan runs off the bitmap otherwise).
+    #[inline]
+    fn next_live(&self, from: usize) -> usize {
+        let mut leaf = from >> 6;
+        let mut word = self.bits[leaf] & (u64::MAX << (from & 63));
+        while word == 0 {
+            leaf += 1;
+            word = self.bits[leaf];
+        }
+        leaf * 64 + word.trailing_zeros() as usize
+    }
+
     /// Checks that the Fenwick tree holds exactly the closed leaves:
     /// its total is `live` minus the open leaf's popcount.
     fn debug_check(&self) {
@@ -204,8 +243,19 @@ impl MarkerTree {
     /// compaction reads (so `slot_addr` needs no dead-slot sentinel and
     /// every `u64` address value is representable).
     fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(leaf, &word)| {
-            let mut rest = word;
+        self.live_slots_from(0)
+    }
+
+    /// The live slots at or after `from`, in increasing order.
+    fn live_slots_from(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = from >> 6;
+        self.bits[first..].iter().enumerate().flat_map(move |(k, &word)| {
+            let leaf = first + k;
+            let mut rest = if k == 0 {
+                word & (u64::MAX << (from & 63))
+            } else {
+                word
+            };
             std::iter::from_fn(move || {
                 (rest != 0).then(|| {
                     let bit = rest.trailing_zeros() as usize;
@@ -327,6 +377,8 @@ pub struct StackDistance {
     /// `s`, for compaction. Meaningful only where
     /// [`MarkerTree::live_slots`] says so — liveness lives in the marker
     /// bitmap, not in a sentinel value, so every `u64` is a valid address.
+    /// Empty until the first touch, so a depth cap set on a fresh engine
+    /// shrinks the slot space before any of it is allocated.
     slot_addr: Vec<u64>,
     /// Monotonic logical clock: the timestamp the next touch will take.
     /// Never wraps, never resets at compaction.
@@ -335,6 +387,20 @@ pub struct StackDistance {
     /// slot `t − origin`, and the window `clock − origin` never exceeds
     /// the slot space.
     origin: u64,
+    /// The depth cap `D`: only the `D` most recently touched ids hold a
+    /// live marker (`u64::MAX` = uncapped).
+    depth: u64,
+    /// Logical time below which no marker is live. An evicted marker lies
+    /// below it, so a reuse of that id is deeper than `depth`; its bit
+    /// stays set until the next compaction, counted by the marker tree
+    /// but below every slot a live reuse ranks from. Equal to `origin` on
+    /// an uncapped engine.
+    floor: u64,
+    /// Live markers: the ids at or above the floor, at most `depth`.
+    held: u64,
+    /// Distinct ids touched so far, counted at first touches (a capped
+    /// engine's live markers stop at its depth).
+    distinct: u64,
     /// `hist[d]` = number of accesses with stack distance exactly `d`
     /// (`hist[0]` unused).
     hist: Vec<u64>,
@@ -411,15 +477,17 @@ impl StackDistance {
     }
 
     fn with_slots(index: Vec<u64>, ids: Option<FxMap<5>>, slots: usize) -> Self {
-        let markers = MarkerTree::new(slots.max(16));
-        let slots = markers.slots();
         StackDistance {
             index,
             ids,
-            markers,
-            slot_addr: vec![0; slots],
+            markers: MarkerTree::new(slots.max(16)),
+            slot_addr: Vec::new(),
             clock: 0,
             origin: 0,
+            depth: u64::MAX,
+            floor: 0,
+            held: 0,
+            distinct: 0,
             hist: Vec::new(),
             compulsory: 0,
             accesses: 0,
@@ -439,13 +507,52 @@ impl StackDistance {
         let mut engine = Self::new();
         engine.clock = start;
         engine.origin = start;
+        engine.floor = start;
         engine
     }
 
-    /// Distinct addresses seen so far (= live recency markers).
+    /// The same fresh engine capped at stack depth `depth`: it ranks a
+    /// reuse only among the `depth` most recently touched ids, and counts
+    /// any deeper reuse as a miss at every capacity up to `depth`. By LRU
+    /// inclusion that answers every capacity `≤ depth` exactly, in a slot
+    /// space of `min(2 · bound, 4 · depth)` instead of `2 · bound`. Its
+    /// profile carries the cap and refuses queries above it; snapshots,
+    /// segmented merges and KBCP images refuse capped engines. `u64::MAX`
+    /// leaves the engine uncapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `depth == 0`, and when the engine has already observed
+    /// an access.
+    #[must_use]
+    pub fn with_depth(mut self, depth: u64) -> Self {
+        assert!(depth > 0, "a depth cap must be at least 1");
+        assert!(
+            self.markers.live == 0,
+            "set the depth cap before the first observation"
+        );
+        self.depth = depth;
+        let slots = usize::try_from(depth.saturating_mul(4)).unwrap_or(usize::MAX);
+        if slots < self.markers.slots() {
+            self.markers = MarkerTree::new(slots);
+        }
+        self
+    }
+
+    /// Panics when the engine is capped: `what` needs the whole recency
+    /// stack, and a capped engine keeps only its top.
+    fn assert_uncapped(&self, what: &str) {
+        assert!(
+            self.depth == u64::MAX,
+            "{what} needs an uncapped engine, but this one is capped at depth {}",
+            self.depth
+        );
+    }
+
+    /// Distinct addresses seen so far.
     #[must_use]
     pub fn distinct(&self) -> u64 {
-        self.markers.live
+        self.distinct
     }
 
     /// Accesses observed so far.
@@ -480,6 +587,10 @@ impl StackDistance {
     /// index from it, equivalent to a fresh compaction. The access count
     /// in the image doubles as the trace cursor: it is exactly the number
     /// of trace positions this engine has consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a capped engine ([`StackDistance::with_depth`]).
     #[must_use]
     pub fn snapshot(&self) -> Vec<u8> {
         use crate::checkpoint::{ByteWriter, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
@@ -640,6 +751,7 @@ impl StackDistance {
         // the (restored) clock. A renamed engine re-renames the stack in
         // recency order.
         let origin = clock - live;
+        engine.slot_addr = vec![0; engine.markers.slots()];
         for (i, &addr) in stack.iter().enumerate() {
             if engine.ids.is_none() && addr >= bound {
                 return Err(corrupt("address beyond the declared bound"));
@@ -656,6 +768,9 @@ impl StackDistance {
         engine.markers.reset_packed(slots, stack.len());
         engine.clock = clock;
         engine.origin = origin;
+        engine.floor = origin;
+        engine.held = live;
+        engine.distinct = live;
         engine.hist = hist;
         engine.compulsory = compulsory;
         engine.accesses = accesses;
@@ -720,9 +835,10 @@ impl StackDistance {
 
     /// Moves `id` to the top of the recency stack and returns its stack
     /// distance — the distinct ids touched since its previous access,
-    /// counting itself — or `None` at its first touch. Compacts first
-    /// when the physical window is full, so the previous access's slot
-    /// and the current clock share one `origin`.
+    /// counting itself — or `None` at its first touch. On a capped
+    /// engine a reuse whose marker was evicted returns `depth + 1`.
+    /// Compacts first when the physical window is full, so the previous
+    /// access's slot and the current clock share one `origin`.
     #[inline]
     fn touch(&mut self, id: u64) -> Option<u64> {
         if self.clock - self.origin == self.markers.slots() as u64 {
@@ -735,19 +851,54 @@ impl StackDistance {
             .filter(|&a| a < self.index.len())
             .unwrap_or_else(|| panic!("address {id} exceeds the declared address bound"));
         let prev = std::mem::replace(&mut self.index[a], self.clock);
-        let distance = (prev != EMPTY).then(|| {
-            debug_assert!(prev >= self.origin, "stale timestamp survived compaction");
+        let distance = if prev == EMPTY {
+            self.distinct += 1;
+            self.held += 1;
+            None
+        } else if prev < self.floor {
+            // Evicted: deeper than the cap (never on an uncapped engine,
+            // whose floor is its origin).
+            self.held += 1;
+            Some(self.depth + 1)
+        } else {
             // In-window by construction: prev − origin < clock − origin ≤ slots.
             let p = (prev - self.origin) as usize;
             let d = self.markers.count_after(p) + 1;
             self.markers.remove(p);
-            d
-        });
+            Some(d)
+        };
+        if self.held > self.depth {
+            self.evict();
+        }
         let top = (self.clock - self.origin) as usize;
         self.markers.add(top);
-        self.slot_addr[top] = id;
+        match self.slot_addr.get_mut(top) {
+            Some(slot) => *slot = id,
+            None => self.allocate_slots(top, id),
+        }
         self.clock += 1;
         distance
+    }
+
+    /// Allocates the slot-id table at the first touch, which lands in
+    /// slot `top`.
+    #[cold]
+    fn allocate_slots(&mut self, top: usize, id: u64) {
+        debug_assert!(self.slot_addr.is_empty(), "the slot table is sized at compaction");
+        self.slot_addr = vec![0; self.markers.slots()];
+        self.slot_addr[top] = id;
+    }
+
+    /// Makes room under the depth cap: evicts the oldest live marker,
+    /// found by a forward scan from the floor, by moving the floor past
+    /// it. Its bit stays set until the next compaction; it sits below
+    /// every live marker, so no live marker's `count_after` sees it, and
+    /// the eviction walks no tree.
+    #[inline]
+    fn evict(&mut self) {
+        let s = self.markers.next_live((self.floor - self.origin) as usize);
+        self.held -= 1;
+        self.floor = self.origin + s as u64 + 1;
     }
 
     /// Counts one observed access of `addr` at stack distance `d`, or as
@@ -769,7 +920,8 @@ impl StackDistance {
     /// Counts one access at stack distance `d` into the histogram.
     #[inline]
     fn bump_hist(&mut self, d: u64) {
-        // d ≤ distinct + 1 ≤ slot space + 1, which fits usize.
+        // d ≤ distinct ≤ the id space, or depth + 1 ≤ distinct + 1 on a
+        // capped engine: it fits usize.
         let d =
             usize::try_from(d).unwrap_or_else(|_| panic!("stack distance overflows usize"));
         if d >= self.hist.len() {
@@ -779,14 +931,16 @@ impl StackDistance {
     }
 
     /// Extends the histogram through distance `d`: amortized doubling,
-    /// but never past a bounded engine's largest possible distance (its
-    /// bound), so the histogram holds at most one counter per address.
+    /// but never past the largest possible distance — a bounded engine's
+    /// bound, a capped engine's `depth + 1` — so the histogram holds at
+    /// most one counter per address or per rank.
     #[cold]
     fn grow_hist(&mut self, d: usize) {
-        let limit = match self.ids {
+        let bound = match self.ids {
             Some(_) => usize::MAX,
             None => self.index.len() + 1,
         };
+        let limit = usize::try_from(self.depth.saturating_add(2)).map_or(bound, |l| l.min(bound));
         let target = (2 * self.hist.len()).min(limit).max(d + 1);
         self.hist.reserve_exact(target - self.hist.len());
         self.hist.resize(d + 1, 0);
@@ -894,6 +1048,7 @@ impl StackDistance {
     /// The live addresses in recency order, oldest first — the engine's
     /// final LRU stack, bottom to top.
     pub(crate) fn final_stack(&self) -> Vec<u64> {
+        self.assert_uncapped("exporting the recency stack (a snapshot or a segment pass)");
         let addrs = self.id_addrs();
         self.markers
             .live_slots()
@@ -909,6 +1064,7 @@ impl StackDistance {
     /// moves the marker to the top, but does **not** count an access —
     /// the per-segment passes already counted it.
     pub(crate) fn merge_observe(&mut self, addr: u64) {
+        self.assert_uncapped("a segmented merge");
         let id = self.id_of(addr);
         match self.touch(id) {
             None => self.compulsory += 1,
@@ -997,6 +1153,7 @@ impl StackDistance {
             compulsory: self.compulsory,
             steps,
             shift: 0,
+            depth: self.depth,
         }
     }
 
@@ -1117,20 +1274,24 @@ impl StackDistance {
 
     /// Squeezes the dead slots out of the time axis, preserving recency
     /// order, re-points the live markers, and re-bases the logical origin
-    /// so the clock itself never resets. Doubles the slot space when more
-    /// than half the slots are live (only possible on a renaming engine,
-    /// whose distinct-address count is unbounded).
+    /// so the clock itself never resets. Only the live markers, from the
+    /// floor up, are packed: evicted bits are dropped, and every timestamp
+    /// an evicted id left in the index lies below the new origin, which
+    /// becomes the floor. Doubles the slot space when more than half the
+    /// slots are live (only possible on a renaming engine, whose
+    /// distinct-address count is unbounded).
     fn compact(&mut self) {
         self.markers.debug_check();
         let slots = self.markers.slots();
-        let live = usize::try_from(self.markers.live)
+        let live = usize::try_from(self.held)
             .unwrap_or_else(|_| panic!("live marker count overflows usize"));
+        let floor = (self.floor - self.origin) as usize;
         // The clock is untouched; live entries take the `live` timestamps
         // just below it, so physical slot = timestamp − origin holds again.
         // Entries only move down (dst ≤ src), so the slide is in place.
         let origin = self.clock - live as u64;
         let mut moved = 0usize;
-        for (dst, src) in self.markers.live_slots().enumerate() {
+        for (dst, src) in self.markers.live_slots_from(floor).enumerate() {
             let id = self.slot_addr[src];
             self.slot_addr[dst] = id;
             self.index[id as usize] = origin + dst as u64;
@@ -1147,6 +1308,7 @@ impl StackDistance {
         self.markers.reset_packed(new_slots, live);
         self.slot_addr.resize(self.markers.slots(), 0);
         self.origin = origin;
+        self.floor = origin;
     }
 }
 
@@ -1182,6 +1344,11 @@ pub struct CapacityProfile {
     /// Sampling-rate exponent: counts and distances are stored ×2^−shift
     /// and re-scaled on query. 0 = exact.
     shift: u32,
+    /// The depth cap of the engine that measured it: capacities up to it
+    /// are answered exactly, and the last breakpoint may sit at
+    /// `depth + 1`, the reuses deeper than the cap (`u64::MAX` =
+    /// uncapped).
+    depth: u64,
 }
 
 /// Raw field windows for the `KBCP` profile codec ([`crate::profstore`]).
@@ -1208,6 +1375,7 @@ impl CapacityProfile {
             compulsory,
             steps,
             shift,
+            depth: u64::MAX,
         }
     }
 }
@@ -1225,6 +1393,7 @@ impl CapacityProfile {
             compulsory: accesses,
             steps: Vec::new(),
             shift: 0,
+            depth: u64::MAX,
         }
     }
 
@@ -1278,19 +1447,47 @@ impl CapacityProfile {
         self.compulsory_misses()
     }
 
+    /// The depth cap of the engine that measured the profile
+    /// ([`StackDistance::with_depth`]): the largest capacity it answers.
+    /// `None` for an uncapped profile, which answers every capacity.
+    #[must_use]
+    pub fn depth(&self) -> Option<u64> {
+        (self.depth != u64::MAX).then_some(self.depth)
+    }
+
+    /// Panics when capacity `m` lies above the depth cap.
+    #[inline]
+    fn check_depth(&self, m: u64) {
+        if m > self.depth {
+            above_depth(self.depth, m);
+        }
+    }
+
     /// The smallest capacity at which only compulsory misses remain (the
     /// largest observed stack distance; 0 for an empty or touch-once
     /// trace). For sampled profiles, the scaled estimate.
+    ///
+    /// # Panics
+    ///
+    /// On a capped profile with a reuse deeper than its cap.
     #[must_use]
     pub fn saturating_capacity(&self) -> u64 {
-        self.scale(self.steps.last().map_or(0, |&(d, _)| d))
+        let d = self.steps.last().map_or(0, |&(d, _)| d);
+        self.check_depth(d);
+        self.scale(d)
     }
 
     /// Hits of a word-granular LRU of `m` words replaying the trace
     /// (scaled estimate for sampled profiles, clamped to `accesses`) — a
     /// binary search over the cumulative-hit breakpoints.
+    ///
+    /// # Panics
+    ///
+    /// When `m` lies above the profile's [`CapacityProfile::depth`]; so do
+    /// every miss, IO and traffic query built on this one.
     #[must_use]
     pub fn hits_at(&self, m: u64) -> u64 {
+        self.check_depth(m);
         let d = m >> self.shift;
         let idx = self.steps.partition_point(|&(dist, _)| dist <= d);
         let raw = if idx == 0 { 0 } else { self.steps[idx - 1].1 };
@@ -1301,7 +1498,17 @@ impl CapacityProfile {
     /// smallest distance first — the per-distance histogram the
     /// cumulative breakpoints encode (raw stored counts for sampled
     /// profiles). Empty for a one-touch or empty trace.
+    ///
+    /// # Panics
+    ///
+    /// On a capped profile, whose reuses deeper than its cap have no
+    /// distance.
     pub fn reuse_classes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        assert!(
+            self.depth().is_none(),
+            "profile capped at depth {} has no reuse classes deeper than it",
+            self.depth
+        );
         self.steps.iter().scan(0u64, |prev, &(d, cum)| {
             let count = cum - *prev;
             *prev = cum;
@@ -1350,6 +1557,16 @@ impl CapacityProfile {
         let caps: Vec<Words> = spec.levels().iter().map(|l| l.capacity()).collect();
         self.traffic_at(&caps)
     }
+}
+
+/// The panic of a query above a capped profile's depth.
+#[cold]
+#[inline(never)]
+fn above_depth(depth: u64, m: u64) -> ! {
+    panic!(
+        "profile capped at depth {depth} cannot answer capacity {m}: \
+         re-measure with an engine capped at {m} or more, or uncapped"
+    )
 }
 
 /// The device-realistic answer sheet: line fetches **and** dirty
@@ -1458,9 +1675,15 @@ impl TrafficProfile {
     /// trace, counting the end-of-run flush of still-dirty lines.
     /// Monotone non-increasing in `m` with floor
     /// [`TrafficProfile::written_lines`] (pinned by property test).
+    ///
+    /// # Panics
+    ///
+    /// When `m / line_words` lies above the read profile's
+    /// [`CapacityProfile::depth`] (in lines).
     #[must_use]
     pub fn writebacks_at(&self, m: u64) -> u64 {
         let d = m / self.line_words;
+        self.profile.check_depth(d);
         // Closed chains whose max gap fits within d lines stay resident
         // across the whole chain: the rewrite catches the line still
         // cached and still dirty, so no write-back.
@@ -1617,6 +1840,7 @@ impl AnalyticProfile {
             compulsory: self.compulsory,
             steps,
             shift: 0,
+            depth: u64::MAX,
         }
     }
 }
