@@ -14,6 +14,10 @@
 //!   pre-built batch in the serve workload's verb mix (60% `io`, 20%
 //!   `intensity`, 15% `balance`, 5% `binding`), each answer written to a
 //!   buffered sink.
+//! * `store_query_ns.{io,intensity,balance,binding}` — ns per warm
+//!   `answer_into` call, one verb at a time, and `balance_over_io`, the
+//!   within-run ratio of the `balance` figure to the `io` one (the exact
+//!   inverse against a single curve read).
 //! * `store_build_registry` — median wall-clock (ns) of precomputing
 //!   the full 11-kernel registry × {16, 32} grid into a fresh store
 //!   (every image encoded, checksummed, and atomically published).
@@ -86,6 +90,27 @@ fn mixed_batch(lines: usize) -> Vec<String> {
         .collect()
 }
 
+/// The four query verbs, in `store_query_ns.*` order.
+const VERBS: [&str; 4] = ["io", "intensity", "balance", "binding"];
+
+/// `lines` queries of one verb over the [`mixed_batch`] keys: every
+/// capacity of that batch, the serve workload's ratios, or two ladders.
+fn verb_batch(verb: &str, lines: usize) -> Vec<String> {
+    const KEYS: [&str; 3] = ["matmul 32", "fft 32", "sort 32"];
+    const RATIOS: [&str; 8] = ["0.5", "1.0", "1.5", "2.0", "3.0", "5.0", "8.0", "16.0"];
+    const LADDERS: [&str; 2] = ["64:1e8,4096:1e7", "256:5e8,16384:5e7"];
+    (0..lines)
+        .map(|i| {
+            let key = KEYS[i % KEYS.len()];
+            match verb {
+                "balance" => format!("balance {key} {}", RATIOS[i % RATIOS.len()]),
+                "binding" => format!("binding {key} {}", LADDERS[i % LADDERS.len()]),
+                _ => format!("{verb} {key} {}", 16 + (i % 64) * 16),
+            }
+        })
+        .collect()
+}
+
 fn append_json(line: &str) {
     if let Some(path) = std::env::var_os("BENCH_JSON") {
         let written = std::fs::OpenOptions::new()
@@ -150,6 +175,29 @@ fn report_headlines() {
         batch.len()
     );
     append_json(&format!("\"store_query_throughput_mixed\": {:.0}\n", qps));
+
+    // Per verb, on the same warm session: ns per answered query.
+    let per_query = |batch: &[String], session: &mut ServeSession<'_>| {
+        let mut answer = String::new();
+        let elapsed = median_of(if smoke { 5 } else { 9 }, || {
+            for line in batch {
+                answer.clear();
+                criterion::black_box(session.answer_into(line, &mut answer));
+            }
+        });
+        elapsed.as_nanos() as f64 / batch.len() as f64
+    };
+    let lines = if smoke { 20_000 } else { 200_000 };
+    let mut ns = Vec::new();
+    for verb in VERBS {
+        let t = per_query(&verb_batch(verb, lines), &mut session);
+        println!("bench: store_query_ns.{verb:<30} {t:.1} ns/query");
+        append_json(&format!("\"store_query_ns.{verb}\": {t:.1}\n"));
+        ns.push(t);
+    }
+    let ratio = ns[2] / ns[0];
+    println!("bench: balance_over_io                         {ratio:.3} (balance ns / io ns)");
+    append_json(&format!("\"balance_over_io\": {ratio:.3}\n"));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Build: the full registry x grid into a fresh store each run.

@@ -24,6 +24,7 @@
 
 pub mod cli;
 pub mod experiments;
+mod numfmt;
 pub mod report;
 pub mod storecli;
 

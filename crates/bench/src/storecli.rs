@@ -22,8 +22,18 @@
 //!   before the read that would wait for more: a file batch flushes once
 //!   per 64 KiB refill, and on a stdin pipe each answer appears as soon
 //!   as its query line arrives (a pipe REPL).
+//!
+//! An answer is pushed into the reused buffer piece by piece, with no
+//! `write!`: integers and the exact `{:.4}` / `{:.3e}` float formatters
+//! live in `numfmt`. An ASCII line splits on bytes, a slot is found by
+//! kernel index and a binary search over that kernel's sizes, and
+//! `balance` reads the exact breakpoint inverse
+//! ([`ProfilePayload::min_capacity_reaching`]). Warm, one verb at a time
+//! (`benches/profstore.rs`, median of 6 smoke runs on a 2-core host), an
+//! answer costs about 150 ns for `io`, 190 for `intensity`, 260 for
+//! `balance` and 840 for `binding`. Through `fmt`, Unicode splitting, a
+//! SipHash map and an f64 bisection it cost 320, 700, 600 and 960.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, BufWriter, Read, Write};
@@ -34,6 +44,7 @@ use balance_machine::{FaultPlan, ProfilePayload, ProfileStore};
 use balance_roofline::HierarchicalRoofline;
 
 use crate::cli::{parse_budget, parse_levels, parse_line_words, Flags};
+use crate::numfmt::{push_fixed4, push_ratio, push_sci3, push_u64};
 
 /// Default size grid for `store build` when `--grid` is absent: powers
 /// of two, valid for every registry kernel (the FFT in particular).
@@ -176,10 +187,13 @@ pub struct ServeSession<'a> {
     service: ProfileService<'a>,
     model: TrafficModel,
     peak: f64,
-    /// Registry names: a query's kernel interns to its `&'static str`, so a
+    /// Registry names: a query's kernel is found by its index here, so a
     /// slot lookup allocates nothing.
     names: Vec<&'static str>,
-    slots: HashMap<(&'static str, usize), Slot>,
+    /// Per registry kernel, its slots sorted by `n`. A lookup is a binary
+    /// search over one kernel's sizes; an insert shifts them, but comes
+    /// with a fetch or a repair that costs far more.
+    slots: Vec<Vec<(usize, Slot)>>,
 }
 
 /// What a session has learned about one `(kernel, n)` key.
@@ -235,12 +249,13 @@ impl<'a> ServeSession<'a> {
         if let Some(b) = budget {
             service = service.with_budget(b);
         }
+        let names: Vec<&'static str> = registry().iter().map(|k| k.name()).collect();
         ServeSession {
             service,
             model,
             peak,
-            names: registry().iter().map(|k| k.name()).collect(),
-            slots: HashMap::new(),
+            slots: names.iter().map(|_| Vec::new()).collect(),
+            names,
         }
     }
 
@@ -289,68 +304,76 @@ impl<'a> ServeSession<'a> {
         }
     }
 
+    /// Appends one answer, piece by piece: nothing on this path goes
+    /// through `fmt`, except the formatters' documented fallbacks.
     fn write_answer(&mut self, line: &str, out: &mut String) -> Result<(), String> {
-        let mut fields = line.split_whitespace();
-        let query = (
-            fields.next(),
-            fields.next(),
-            fields.next(),
-            fields.next(),
-            fields.next(),
-        );
-        let (Some(verb), Some(kernel), Some(n), Some(arg), None) = query else {
+        let Some([verb, kernel, n, arg]) = query_fields(line) else {
             return Err(QUERY_FORMS.to_string());
         };
-        let written = match verb {
+        let slot = match verb {
             "io" => {
                 let (n, m) = (parse_n(n)?, parse_m(arg)?);
-                let name = self.intern(kernel).ok_or_else(|| {
-                    format!("unknown kernel '{kernel}' (try: {})", self.names.join(", "))
-                })?;
-                let slot = self.slot(name, n)?;
-                let words = io_words_at(&slot.served.payload, m);
-                write!(out, "io {kernel} {n} {m} = {words} words  [{}]", slot.tag)
+                let (slot, _) = self.slot(kernel, n, false)?;
+                let words = slot.served.payload.words_at(m);
+                push_query(out, "io ", kernel, n, m);
+                push_u64(out, words);
+                out.push_str(" words");
+                slot
             }
             "intensity" => {
                 let (n, m) = (parse_n(n)?, parse_m(arg)?);
-                let (slot, ops) = self.slot_with_ops(kernel, n)?;
-                let words = io_words_at(&slot.served.payload, m);
+                let (slot, ops) = self.slot(kernel, n, true)?;
+                let words = slot.served.payload.words_at(m);
                 let r = if words == 0 {
                     f64::INFINITY
                 } else {
                     ops as f64 / words as f64
                 };
-                write!(
-                    out,
-                    "intensity {kernel} {n} {m} = {r:.4} op/word  [{}]",
-                    slot.tag
-                )
+                push_query(out, "intensity ", kernel, n, m);
+                push_fixed4(out, r);
+                out.push_str(" op/word");
+                slot
             }
             "balance" => {
                 let n = parse_n(n)?;
                 let ratio: f64 = arg
                     .parse()
                     .map_err(|e| format!("ops/word ratio '{arg}': {e}"))?;
-                let (slot, ops) = self.slot_with_ops(kernel, n)?;
-                let (served, tag) = (&slot.served, &slot.tag);
-                require_exact(served, "balance")?;
-                match balance_point(&served.payload, ops, ratio) {
-                    Some(m) => write!(out, "balance {kernel} {n} {ratio} = M {m} words  [{tag}]"),
-                    None => write!(
-                        out,
-                        "balance {kernel} {n} {ratio} = impossible (io-bounded: no \
-                         capacity reaches {ratio} op/word)  [{tag}]"
-                    ),
+                if !(ratio.is_finite() && ratio > 0.0) {
+                    return Err(format!(
+                        "ops/word ratio '{arg}': must be finite and positive"
+                    ));
                 }
+                let (slot, ops) = self.slot(kernel, n, true)?;
+                require_exact(&slot.served, "balance")?;
+                let at = slot.served.payload.min_capacity_reaching(ops, ratio);
+                out.push_str("balance ");
+                out.push_str(kernel);
+                out.push(' ');
+                push_u64(out, n as u64);
+                out.push(' ');
+                push_ratio(out, arg, ratio);
+                match at {
+                    Some(m) => {
+                        out.push_str(" = M ");
+                        push_u64(out, m);
+                        out.push_str(" words");
+                    }
+                    None => {
+                        out.push_str(" = impossible (io-bounded: no capacity reaches ");
+                        push_ratio(out, arg, ratio);
+                        out.push_str(" op/word)");
+                    }
+                }
+                slot
             }
             "binding" => {
                 let n = parse_n(n)?;
                 let spec = parse_levels(arg)?;
                 let peak = self.peak;
-                let (slot, ops) = self.slot_with_ops(kernel, n)?;
-                let (served, tag) = (&slot.served, &slot.tag);
-                require_exact(served, "binding")?;
-                let traffic = match &served.payload {
+                let (slot, ops) = self.slot(kernel, n, true)?;
+                require_exact(&slot.served, "binding")?;
+                let traffic = match &slot.served.payload {
                     ProfilePayload::Capacity(p) => p.traffic_for(&spec),
                     ProfilePayload::Traffic(t) => t.traffic_for(&spec),
                 };
@@ -362,67 +385,104 @@ impl<'a> ServeSession<'a> {
                     .collect();
                 let roofline = HierarchicalRoofline::new(OpsPerSec::new(peak), &spec)
                     .map_err(|e| e.to_string())?;
-                let attainable = roofline.attainable(&ai);
+                out.push_str("binding ");
+                out.push_str(kernel);
+                out.push(' ');
+                push_u64(out, n as u64);
                 match roofline.binding_level(&ai) {
-                    Some(level) => write!(
-                        out,
-                        "binding {kernel} {n} = L{} (attainable {attainable:.3e} op/s)  [{tag}]",
-                        level + 1
-                    ),
-                    None => write!(
-                        out,
-                        "binding {kernel} {n} = compute (attainable {attainable:.3e} op/s)  [{tag}]"
-                    ),
+                    Some(level) => {
+                        out.push_str(" = L");
+                        push_u64(out, level as u64 + 1);
+                    }
+                    None => out.push_str(" = compute"),
                 }
+                out.push_str(" (attainable ");
+                push_sci3(out, roofline.attainable(&ai));
+                out.push_str(" op/s)");
+                slot
             }
             _ => return Err(QUERY_FORMS.to_string()),
         };
-        written.map_err(|e| e.to_string())
+        out.push_str("  [");
+        out.push_str(&slot.tag);
+        out.push(']');
+        Ok(())
     }
 
-    /// The registry's own spelling of `kernel`, if it names one.
-    fn intern(&self, kernel: &str) -> Option<&'static str> {
-        self.names.iter().copied().find(|&name| name == kernel)
-    }
-
-    /// The slot of `(kernel, n)`, fetched on first use. A warm key costs
-    /// one hash lookup; a key whose fetch fails is not kept.
-    fn slot(&mut self, kernel: &'static str, n: usize) -> Result<&Slot, String> {
-        let (service, model) = (&self.service, self.model);
-        match self.slots.entry((kernel, n)) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => Ok(e.insert(Slot::fetch(service, model, kernel, n, None)?)),
-        }
-    }
-
-    /// The slot of a query that needs the op count too. The count comes
-    /// first, so `intensity fft 100 16` fails on its missing trace before
-    /// any repair starts.
-    fn slot_with_ops(&mut self, kernel: &str, n: usize) -> Result<(&Slot, u64), String> {
-        let name = self
-            .intern(kernel)
-            .ok_or_else(|| format!("unknown kernel '{kernel}'"))?;
-        let (service, model) = (&self.service, self.model);
-        match self.slots.entry((name, n)) {
-            Entry::Occupied(e) => {
-                let slot = e.into_mut();
-                let ops = match slot.ops {
-                    Some(ops) => ops,
-                    None => *slot.ops.insert(comp_ops(name, n)?),
-                };
-                Ok((slot, ops))
+    /// The slot of `(kernel, n)`, fetched on first use, and with `ops`
+    /// the kernel's op count at `n` (0 without). A key whose fetch fails
+    /// is not kept. A warm key costs one scan of the eleven registry names
+    /// and one binary search. The op count comes before any fetch, so
+    /// `intensity fft 100 16` fails on its missing trace before a repair
+    /// starts. (An unknown kernel lists the registry only for `io`, as it
+    /// always has.)
+    fn slot(&mut self, kernel: &str, n: usize, ops: bool) -> Result<(&Slot, u64), String> {
+        let Some(k) = self.names.iter().position(|&name| name == kernel) else {
+            return Err(if ops {
+                format!("unknown kernel '{kernel}'")
+            } else {
+                format!("unknown kernel '{kernel}' (try: {})", self.names.join(", "))
+            });
+        };
+        let (service, model, name) = (&self.service, self.model, self.names[k]);
+        let slots = &mut self.slots[k];
+        let at = match slots.binary_search_by_key(&n, |&(size, _)| size) {
+            Ok(at) => at,
+            Err(at) => {
+                let count = if ops { Some(comp_ops(name, n)?) } else { None };
+                slots.insert(at, (n, Slot::fetch(service, model, name, n, count)?));
+                at
             }
-            Entry::Vacant(e) => {
-                let ops = comp_ops(name, n)?;
-                let slot = Slot::fetch(service, model, name, n, Some(ops))?;
-                Ok((e.insert(slot), ops))
-            }
-        }
+        };
+        let slot = &mut slots[at].1;
+        let count = match slot.ops {
+            Some(count) => count,
+            None if ops => *slot.ops.insert(comp_ops(name, n)?),
+            None => 0,
+        };
+        Ok((slot, count))
     }
 }
 
 const QUERY_FORMS: &str =
     "expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'";
+
+/// The four whitespace-separated fields of a query, or `None` for any
+/// other count. A plain ASCII line splits in one pass over its bytes; a
+/// line with other text, or with `\x0B` (which ASCII whitespace leaves
+/// inside a field), splits on Unicode whitespace. Unicode whitespace
+/// splits everywhere ASCII whitespace does, so a fifth ASCII field is
+/// already too many either way.
+fn query_fields(line: &str) -> Option<[&str; 4]> {
+    let mut fields = [""; 4];
+    let (mut count, mut start) = (0, None);
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        if !b.is_ascii() || b == 0x0B {
+            let mut unicode = line.split_whitespace();
+            let four = [
+                unicode.next()?,
+                unicode.next()?,
+                unicode.next()?,
+                unicode.next()?,
+            ];
+            return unicode.next().is_none().then_some(four);
+        }
+        match (b.is_ascii_whitespace(), start) {
+            (true, Some(s)) => {
+                *fields.get_mut(count)? = &line[s..i];
+                count += 1;
+                start = None;
+            }
+            (false, None) => start = Some(i),
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        *fields.get_mut(count)? = &line[s..];
+        count += 1;
+    }
+    (count == 4).then_some(fields)
+}
 
 fn parse_n(s: &str) -> Result<usize, String> {
     s.parse().map_err(|e| format!("problem size '{s}': {e}"))
@@ -430,15 +490,6 @@ fn parse_n(s: &str) -> Result<usize, String> {
 
 fn parse_m(s: &str) -> Result<u64, String> {
     s.parse().map_err(|e| format!("capacity '{s}': {e}"))
-}
-
-/// Total boundary words at capacity `m`: the capacity curve's `io_at`,
-/// or — device-real — line-granular read words plus write-back words.
-fn io_words_at(payload: &ProfilePayload, m: u64) -> u64 {
-    match payload {
-        ProfilePayload::Capacity(p) => p.io_at(m),
-        ProfilePayload::Traffic(t) => t.read_words_at(m) + t.writeback_words_at(m),
-    }
 }
 
 /// Exact-only consumers (`balance`, `binding`) refuse sampled artifacts:
@@ -455,28 +506,15 @@ fn require_exact(served: &Served, query: &str) -> Result<(), String> {
     }
 }
 
-/// Smallest capacity whose intensity `ops / io_at(M)` reaches `ratio`,
-/// or `None` when even the saturating capacity stays io-bounded below
-/// it. Binary search over the monotone (non-increasing) io curve.
-fn balance_point(payload: &ProfilePayload, ops: u64, ratio: f64) -> Option<u64> {
-    let reaches = |m: u64| {
-        let words = io_words_at(payload, m);
-        words == 0 || ops as f64 / words as f64 >= ratio
-    };
-    let mut hi = payload.profile().saturating_capacity().max(1);
-    if !reaches(hi) {
-        return None;
-    }
-    let mut lo = 1u64;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if reaches(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(lo)
+/// Appends `"{verb}{kernel} {n} {m} = "`.
+fn push_query(out: &mut String, verb: &str, kernel: &str, n: usize, m: u64) {
+    out.push_str(verb);
+    out.push_str(kernel);
+    out.push(' ');
+    push_u64(out, n as u64);
+    out.push(' ');
+    push_u64(out, m);
+    out.push_str(" = ");
 }
 
 /// Read and write buffer size of `balance serve`.
@@ -662,7 +700,7 @@ mod tests {
             .unwrap()
             .parse()
             .unwrap();
-        let (slot, ops) = session.slot_with_ops("matmul", 8).unwrap();
+        let (slot, ops) = session.slot("matmul", 8, true).unwrap();
         let profile = slot.served.profile().clone();
         assert!(ops as f64 / profile.io_at(m) as f64 >= 1.5);
         if m > 1 {
@@ -807,6 +845,143 @@ io matmul 16 4096 = 768 words  [hit [analytic, exact]]
         for dir in &dirs {
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+
+    /// Edge lines and their answers, recorded from the `split_whitespace`
+    /// and `write!` serve path before the byte-splitting, push-formatting
+    /// one replaced it, over a fresh [`matmul_store`]. `None` is a line
+    /// that answers nothing. The non-positive and non-finite `balance`
+    /// ratios answered `M 1 words` or `impossible` then; they are domain
+    /// errors now.
+    const EDGE_ANSWERS: &[(&[u8], Option<&str>)] = &[
+        (b"io\tmatmul\t16\t64", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        (b"io   matmul  16    64", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        (b"  \tintensity \t matmul 16\t\t 64  ", Some("intensity matmul 16 64 = 1.7778 op/word  [hit [analytic, exact]]")),
+        (b"io matmul 16 64\r", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        (b"io\x0Bmatmul\x0B16\x0B64", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        (b"io matmul\x0B16 64", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        (b"\x0Bio matmul 16 64\x0B", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        ("io\u{A0}matmul\u{A0}16\u{A0}64".as_bytes(), Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        ("io\u{3000}matmul\u{3000}16\u{3000}64".as_bytes(), Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        ("intensity\u{3000}matmul 16 64\u{A0}".as_bytes(), Some("intensity matmul 16 64 = 1.7778 op/word  [hit [analytic, exact]]")),
+        (b"io matmul 0064 64", Some("io matmul 64 64 = 528384 words  [repaired(miss) [analytic, exact]]")),
+        (b"io matmul +16 64", Some("io matmul 16 64 = 4608 words  [hit [analytic, exact]]")),
+        (b"io matmul 16 18446744073709551615", Some("io matmul 16 18446744073709551615 = 768 words  [hit [analytic, exact]]")),
+        (b"intensity matmul 16 18446744073709551615", Some("intensity matmul 16 18446744073709551615 = 10.6667 op/word  [hit [analytic, exact]]")),
+        (b"io matmul 16 18446744073709551616", Some("! io matmul 16 18446744073709551616: capacity '18446744073709551616': number too large to fit in target type")),
+        (b"io matmul 16", Some("! io matmul 16: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'")),
+        (b"io matmul 16 64 extra", Some("! io matmul 16 64 extra: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'")),
+        (b"balance matmul 16", Some("! balance matmul 16: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'")),
+        (b"binding matmul 16 64:1e8 4096:1e7", Some("! binding matmul 16 64:1e8 4096:1e7: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'")),
+        (b"io nonsense 16 64", Some("! io nonsense 16 64: unknown kernel 'nonsense' (try: matmul, triangularization, grid2d, grid3d, fft, sort, matvec, trisolve, convolution, transpose, multi_matvec)")),
+        (b"intensity nonsense 16 64", Some("! intensity nonsense 16 64: unknown kernel 'nonsense'")),
+        (b"balance nonsense 16 2", Some("! balance nonsense 16 2: unknown kernel 'nonsense'")),
+        (b"binding nonsense 16 64:1e8", Some("! binding nonsense 16 64:1e8: unknown kernel 'nonsense'")),
+        (b"IO matmul 16 64", Some("! IO matmul 16 64: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'")),
+        (b"foo matmul 16 64", Some("! foo matmul 16 64: expected 'io K N M', 'intensity K N M', 'balance K N R', or 'binding K N CAP:BW[,...]'")),
+        (b"io mat\xffmul 16 64", Some("! io mat\u{fffd}mul 16 64: not UTF-8")),
+        (b"# caf\xe9", None),
+        (b"# comment", None),
+        (b"  # indented comment", None),
+        (b"#", None),
+        (b"", None),
+        (b"   ", None),
+        (b"intensity matmul 8 16", Some("intensity matmul 8 16 = 0.9412 op/word  [hit [analytic, exact]]")),
+        (b"intensity matmul 8 0", Some("intensity matmul 8 0 = 0.6667 op/word  [hit [analytic, exact]]")),
+        (b"intensity matmul 8 1", Some("intensity matmul 8 1 = 0.6667 op/word  [hit [analytic, exact]]")),
+        (b"balance matmul 16 2.0", Some("balance matmul 16 2 = M 304 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 1e0", Some("balance matmul 16 1 = M 34 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 0.50", Some("balance matmul 16 0.5 = M 1 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 .5", Some("balance matmul 16 0.5 = M 1 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 5.", Some("balance matmul 16 5 = M 305 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 +2", Some("balance matmul 16 2 = M 304 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 00002.000", Some("balance matmul 16 2 = M 304 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 1.2345678901234567", Some("balance matmul 16 1.2345678901234567 = M 34 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 1e-3", Some("balance matmul 16 0.001 = M 1 words  [hit [analytic, exact]]")),
+        (b"balance matmul 16 1000", Some("balance matmul 16 1000 = impossible (io-bounded: no capacity reaches 1000 op/word)  [hit [analytic, exact]]")),
+        (b"balance matmul 16 nan", Some("! balance matmul 16 nan: ops/word ratio 'nan': must be finite and positive")),
+        (b"balance matmul 16 -1", Some("! balance matmul 16 -1: ops/word ratio '-1': must be finite and positive")),
+        (b"balance matmul 16 0", Some("! balance matmul 16 0: ops/word ratio '0': must be finite and positive")),
+        (b"balance matmul 16 -0", Some("! balance matmul 16 -0: ops/word ratio '-0': must be finite and positive")),
+        (b"balance matmul 16 inf", Some("! balance matmul 16 inf: ops/word ratio 'inf': must be finite and positive")),
+        (b"balance matmul 16 -inf", Some("! balance matmul 16 -inf: ops/word ratio '-inf': must be finite and positive")),
+        (b"binding\tmatmul 16 64:1e8,4096:1e7", Some("binding matmul 16 = L2 (attainable 1.067e8 op/s)  [hit [analytic, exact]]")),
+        (b"binding matmul 8 1024:1e9", Some("binding matmul 8 = compute (attainable 1.000e9 op/s)  [hit [analytic, exact]]")),
+    ];
+
+    #[test]
+    fn edge_lines_answer_as_the_split_whitespace_path_did() {
+        let dir = tmp_dir("edges");
+        let store = matmul_store(&dir);
+        let mut session = ServeSession::new(&store, TrafficModel::WORD, None, 1.0e9);
+        for &(line, want) in EDGE_ANSWERS {
+            let mut out = String::from("kept");
+            let answered = session.answer_bytes_into(line, &mut out);
+            let got = answered.then(|| &out["kept".len()..]);
+            assert_eq!(got, want, "line {:?}", String::from_utf8_lossy(line));
+            if !answered {
+                assert_eq!(out, "kept");
+            }
+        }
+        // CRLF and `\x0B` line ends through the streaming reader.
+        let out = serve_file(&dir, b"io matmul 16 64\r\nio\x0Bmatmul 16 64\x0B\r\n");
+        let want = "io matmul 16 64 = 4608 words  [hit [analytic, exact]]\n";
+        assert_eq!(String::from_utf8(out).unwrap(), want.repeat(2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn balance_refuses_a_ratio_that_is_not_finite_and_positive() {
+        let dir = tmp_dir("domain");
+        let store = matmul_store(&dir);
+        let mut session = ServeSession::new(&store, TrafficModel::WORD, None, 1.0e9);
+        for ratio in [
+            "nan",
+            "NaN",
+            "inf",
+            "+infinity",
+            "-inf",
+            "0",
+            "0.0",
+            "-0",
+            "-1",
+            "-2.5",
+        ] {
+            let a = session
+                .answer(&format!("balance matmul 16 {ratio}"))
+                .unwrap();
+            assert_eq!(
+                a,
+                format!(
+                    "! balance matmul 16 {ratio}: ops/word ratio '{ratio}': \
+                     must be finite and positive"
+                )
+            );
+        }
+        // The smallest positive ratios are in the domain.
+        let a = session.answer("balance matmul 16 5e-324").unwrap();
+        assert!(a.starts_with("balance matmul 16 0.000"), "{a}");
+        assert!(a.contains("= M 1 words"), "{a}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// At 4-word lines the balance point lies past the read curve's
+    /// saturation counted in lines: the search runs in words.
+    #[test]
+    fn device_model_balance_searches_capacities_in_words() {
+        let dir = tmp_dir("device");
+        let store = ProfileStore::open(&dir).unwrap();
+        let mut session = ServeSession::new(&store, TrafficModel::device(4), None, 1.0e9);
+        let a = session.answer("balance matmul 32 2").unwrap();
+        assert!(
+            a.starts_with("balance matmul 32 2 = M 1104 words  ["),
+            "{a}"
+        );
+        let below = session.answer("intensity matmul 32 1103").unwrap();
+        let at = session.answer("intensity matmul 32 1104").unwrap();
+        assert!(below.contains(" = 1.9428 op/word"), "{below}");
+        assert!(at.contains(" = 2.0017 op/word"), "{at}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

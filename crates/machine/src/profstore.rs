@@ -330,6 +330,28 @@ impl ProfilePayload {
     pub fn is_exact(&self) -> bool {
         self.profile().is_exact()
     }
+
+    /// Boundary words at capacity `m`: the capacity curve's `io_at`, or
+    /// (device model) fetched plus written-back words.
+    #[must_use]
+    pub fn words_at(&self, m: u64) -> u64 {
+        match self {
+            ProfilePayload::Capacity(p) => p.io_at(m),
+            ProfilePayload::Traffic(t) => t.words_at(m),
+        }
+    }
+
+    /// The smallest capacity whose intensity `ops / words_at(M)` reaches
+    /// `ratio`, compared exactly
+    /// ([`CapacityProfile::min_capacity_reaching`] or its
+    /// [`TrafficProfile`] twin).
+    #[must_use]
+    pub fn min_capacity_reaching(&self, ops: u64, ratio: f64) -> Option<u64> {
+        match self {
+            ProfilePayload::Capacity(p) => p.min_capacity_reaching(ops, ratio),
+            ProfilePayload::Traffic(t) => t.min_capacity_reaching(ops, ratio),
+        }
+    }
 }
 
 /// Encodes one profile as a `KBCP` image (header, payload, trailing

@@ -1557,6 +1557,112 @@ impl CapacityProfile {
         let caps: Vec<Words> = spec.levels().iter().map(|l| l.capacity()).collect();
         self.traffic_at(&caps)
     }
+
+    /// Kung's question inverted: the smallest capacity `M ≥ 1` whose
+    /// intensity `ops / io_at(M)` reaches `ratio` op/word, or `None` when
+    /// even the [saturating capacity](Self::saturating_capacity) stays
+    /// below it. Zero IO words is an infinite intensity, which reaches
+    /// every ratio; a ratio of zero or less is reached everywhere, and NaN
+    /// only by zero IO words.
+    ///
+    /// Exact at every magnitude: `ratio` is decoded from its `f64` bits
+    /// and compared with `ops / io` in `u128`, never through a rounded
+    /// quotient. The IO curve falls only at its breakpoints, so the answer
+    /// is 1 or a breakpoint's capacity, found by a binary search over
+    /// them — O(log #pieces).
+    ///
+    /// # Panics
+    ///
+    /// As [`CapacityProfile::saturating_capacity`]: on a capped profile
+    /// with a reuse deeper than its cap.
+    #[must_use]
+    pub fn min_capacity_reaching(&self, ops: u64, ratio: f64) -> Option<u64> {
+        // A capped profile whose reuses run past its cap refuses here.
+        let _ = self.saturating_capacity();
+        let target = Ratio::of(ratio);
+        // Breakpoint `(d, h)` takes effect at capacity `d << shift`; one
+        // past the `u64` range is never reached.
+        let mut steps = &self.steps[..];
+        if self.shift > 0 {
+            steps = &steps[..steps.partition_point(|&(d, _)| d <= u64::MAX >> self.shift)];
+        }
+        let io = |h| self.accesses - self.scale(h).min(self.accesses);
+        let first = steps.partition_point(|&(_, h)| !target.reached_by(ops, io(h)));
+        // Capacity 1 lies at or below the first breakpoint, so it can only
+        // reach when that one does; it holds the hits of distance 1 alone.
+        if first == 0 {
+            let h = match steps.first() {
+                Some(&(1, h)) if self.shift == 0 => h,
+                _ => 0,
+            };
+            if target.reached_by(ops, io(h)) {
+                return Some(1);
+            }
+        }
+        steps.get(first).map(|&(d, _)| d << self.shift)
+    }
+}
+
+/// An op/word ratio decoded exactly from its `f64` bits, for the exact
+/// inverse queries ([`CapacityProfile::min_capacity_reaching`]).
+#[derive(Debug, Clone, Copy)]
+enum Ratio {
+    /// Zero, negative or `-∞`: every intensity reaches it.
+    Everywhere,
+    /// `+∞` or NaN: only zero IO words reach it.
+    Nowhere,
+    /// `mant · 2^exp`, with `mant > 0`.
+    Finite { mant: u64, exp: i32 },
+}
+
+impl Ratio {
+    fn of(ratio: f64) -> Ratio {
+        if ratio.is_nan() || ratio == f64::INFINITY {
+            return Ratio::Nowhere;
+        }
+        if ratio <= 0.0 {
+            return Ratio::Everywhere;
+        }
+        let bits = ratio.to_bits();
+        let field = (bits >> 52) as i32;
+        let frac = bits & ((1 << 52) - 1);
+        let (mant, exp) = if field == 0 {
+            (frac, -1074)
+        } else {
+            (frac | 1 << 52, field - 1075)
+        };
+        // Odd mantissa: an integer ratio gets `exp ≥ 0`, the cheap arm.
+        let zeros = mant.trailing_zeros();
+        Ratio::Finite {
+            mant: mant >> zeros,
+            exp: exp + zeros as i32,
+        }
+    }
+
+    /// Whether `ops / words ≥ ratio`, exactly (`words = 0` reaches all).
+    fn reached_by(self, ops: u64, words: u64) -> bool {
+        if words == 0 {
+            return true;
+        }
+        let Ratio::Finite { mant, exp } = self else {
+            return matches!(self, Ratio::Everywhere);
+        };
+        // ratio · words = rhs · 2^exp, with rhs < 2^117.
+        let rhs = u128::from(mant) * u128::from(words);
+        let ops = u128::from(ops);
+        if exp >= 0 {
+            exp < 64 && rhs <= u128::from(u64::MAX) >> exp && rhs << exp <= ops
+        } else {
+            // ops ≥ rhs / 2^s  ⟺  ops ≥ ⌈rhs / 2^s⌉ (≥ 1, as rhs > 0).
+            let s = exp.unsigned_abs();
+            let ceil = if s >= 128 {
+                1
+            } else {
+                (rhs >> s) + u128::from(rhs & ((1u128 << s) - 1) != 0)
+            };
+            ops >= ceil
+        }
+    }
 }
 
 /// The panic of a query above a capped profile's depth.
@@ -1704,6 +1810,48 @@ impl TrafficProfile {
     #[must_use]
     pub fn writeback_words_at(&self, m: u64) -> u64 {
         self.writebacks_at(m).saturating_mul(self.line_words)
+    }
+
+    /// All boundary words of an `m`-**word** memory: fetched plus
+    /// written-back words.
+    #[must_use]
+    pub fn words_at(&self, m: u64) -> u64 {
+        self.read_words_at(m)
+            .saturating_add(self.writeback_words_at(m))
+    }
+
+    /// [`CapacityProfile::min_capacity_reaching`] for the device model:
+    /// the smallest capacity `M ≥ 1`, in **words**, whose intensity
+    /// `ops / words_at(M)` reaches `ratio`, compared exactly; `None` when
+    /// no capacity does.
+    ///
+    /// Both curves fall only where `M / line_words` crosses one of their
+    /// breakpoints. The answer is 1 or the smaller of two binary searches:
+    /// the first fetch breakpoint that reaches and the first write-back
+    /// breakpoint that reaches.
+    ///
+    /// # Panics
+    ///
+    /// On a capped read profile with a reuse deeper than its cap.
+    #[must_use]
+    pub fn min_capacity_reaching(&self, ops: u64, ratio: f64) -> Option<u64> {
+        // A capped read profile whose reuses run past its cap refuses here.
+        let _ = self.profile.saturating_capacity();
+        let target = Ratio::of(ratio);
+        let reaches = |m| target.reached_by(ops, self.words_at(m));
+        if reaches(1) {
+            return Some(1);
+        }
+        let lw = self.line_words;
+        let first = |steps: &[(u64, u64)]| {
+            let steps = &steps[..steps.partition_point(|&(d, _)| d <= u64::MAX / lw)];
+            let i = steps.partition_point(|&(d, _)| !reaches(d * lw));
+            steps.get(i).map(|&(d, _)| d * lw)
+        };
+        match (first(&self.profile.steps), first(&self.wb_steps)) {
+            (Some(read), Some(wb)) => Some(read.min(wb)),
+            (read, wb) => read.or(wb),
+        }
     }
 
     /// The multi-level dual read: fetch and write-back **words** crossing
