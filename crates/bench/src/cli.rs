@@ -891,8 +891,10 @@ USAGE:
       Resumable: grid points whose entry already validates are skipped,
       so a killed build completes only the remainder on re-run.
   balance store fsck --dir <path>
-      Scrub a profile store: quarantine corrupt, truncated, or
-      stale-version images, adopt valid orphans, rewrite the manifest.
+      Scrub a profile store offline: delete leftover temp files and
+      quarantine corrupt, truncated, or stale-version images. It deletes
+      a live writer's temp file too, so run it with no build or serve
+      writing to the store.
   balance serve --store <path> [--batch FILE|-] [--line-words <L>] [--peak <op/s>] [budget flags]
       Answer batch/REPL what-if queries from the store through the
       self-healing service (one query per line; --batch - or no --batch

@@ -5,9 +5,11 @@
 //!   a content-addressed [`ProfileStore`] — resumably: grid points whose
 //!   entry already validates are skipped, so a killed build completes
 //!   only the remainder on re-run.
-//! * `balance store fsck` scrubs a store: quarantines corrupt, truncated,
-//!   or stale-version images, adopts valid orphans, and rewrites the
-//!   manifest.
+//! * `balance store fsck` scrubs a store offline: deletes leftover temp
+//!   files and quarantines corrupt, truncated, or stale-version images.
+//!   The store is its directory of images, so there is nothing else to
+//!   reconcile; builds and serve sessions may share a store, but fsck
+//!   must not run beside them.
 //! * `balance serve` answers batch/REPL what-if queries (`io`,
 //!   `intensity`, `balance`, `binding`) from the store through the
 //!   self-healing [`ProfileService`]: hits are served as-is, misses and

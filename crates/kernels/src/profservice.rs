@@ -48,7 +48,7 @@ pub fn registry() -> Vec<Box<dyn Kernel>> {
 }
 
 /// Looks a kernel up by its canonical `Kernel::name()` (the spelling
-/// stored in profile images and manifests).
+/// stored in profile image headers).
 #[must_use]
 pub fn registry_kernel(name: &str) -> Option<Box<dyn Kernel>> {
     registry().into_iter().find(|k| k.name() == name)
@@ -525,6 +525,54 @@ mod tests {
         .unwrap();
         assert_eq!(second.built, 0);
         assert_eq!(second.skipped, 4, "a re-run must skip valid entries");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_builds_over_overlapping_grids_leave_a_healthy_store() {
+        let (dir, store) = tmp_store("concurrent");
+        let grids: [&[usize]; 2] = [&[16, 32, 64], &[32, 64, 128]];
+        let start = std::sync::Barrier::new(grids.len());
+        let outcomes: Vec<BuildOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = grids
+                .iter()
+                .map(|grid| {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        let kernels = registry();
+                        start.wait();
+                        build_store(
+                            store,
+                            &kernels,
+                            grid,
+                            TrafficModel::WORD,
+                            None,
+                            &FaultPlan::none(),
+                        )
+                        .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for outcome in &outcomes {
+            assert!(outcome.failed.is_empty(), "{:?}", outcome.failed);
+        }
+        let report = store.fsck().unwrap();
+        assert!(report.quarantined.is_empty(), "{report}");
+        assert_eq!(report.cleaned_tmp, 0, "{report}");
+        let mut union: Vec<ProfileKey> = registry()
+            .iter()
+            .flat_map(|k| [16, 32, 64, 128].map(|n| key_for(k.name(), n, TrafficModel::WORD)))
+            .collect();
+        union.sort_by_key(ProfileKey::file_name);
+        assert_eq!(store.keys().unwrap(), union);
+        for key in &union {
+            assert!(
+                matches!(store.get(key).unwrap(), Lookup::Hit { .. }),
+                "{key}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,16 +29,17 @@
 //!
 //! [`resumable_replay`] is the driver: restore-if-valid-else-fresh, skip
 //! the consumed prefix, observe the rest under an optional
-//! [`CheckpointPolicy`] (atomic tmp-then-rename writes every N
-//! addresses), an optional wall-clock deadline, and a deterministic
+//! [`CheckpointPolicy`] (a [`write_atomic`] publish every N addresses),
+//! an optional wall-clock deadline, and a deterministic
 //! [`FaultPlan`](crate::faults::FaultPlan). The segmented engine
 //! ([`crate::segmented`]) runs the same driver per worker with
 //! per-segment images plus a manifest.
 
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::faults::{FaultPlan, InjectedFault};
@@ -312,23 +313,43 @@ impl CheckpointPolicy {
     }
 }
 
-/// Atomically persists `bytes` at `path`: write to a sibling tmp file,
-/// then rename over the destination — a reader (or a resume after
-/// SIGKILL) sees either the previous complete image or the new one, never
-/// a torn write.
+/// Numbers this process's publishes, so no two in flight share a temp
+/// file. Only uniqueness matters, which `fetch_add` gives at any ordering.
+static PUBLISH_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Durably and atomically persists `bytes` at `path` — the crate's one
+/// publish routine, for `KBSD` checkpoints, the `KBSM` segmented manifest
+/// and `KBCP` store images. It writes a temp file private to this writer
+/// (`<path>.<pid>.<seq>.tmp`), `sync_all`s it, renames it over `path`,
+/// then `sync_all`s the directory so the rename itself is on disk. A
+/// reader, a resume after SIGKILL or power loss, and a concurrent writer
+/// of the same path each see a complete image, never a torn one.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Io`] when the directory, tmp write, or rename
-/// fails.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
+/// The I/O error of the directory creation, write, sync or rename; the
+/// temp file is removed on a failure after it was created.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::create_dir_all(dir)?;
+    let seq = PUBLISH_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let publish = || -> io::Result<()> {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        fs::rename(&tmp, path)
+    };
+    if let Err(e) = publish() {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
     }
-    let tmp = path.with_extension("ckpt.tmp");
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)?;
-    Ok(())
+    File::open(dir)?.sync_all()
 }
 
 /// Loads an image's bytes, treating a missing (or unreadable) file as "no
@@ -444,7 +465,7 @@ fn write_checkpoint(
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
     }
-    write_atomic(path, &bytes)
+    Ok(write_atomic(path, &bytes)?)
 }
 
 /// The resumable replay driver: restores the named image if a valid one

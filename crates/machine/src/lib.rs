@@ -53,8 +53,8 @@
 //!   are continuously tested through.
 //! * [`profstore`] — the crash-safe home of the measured artifacts:
 //!   versioned, checksummed `KBCP` profile images (capacity and traffic)
-//!   in a content-addressed [`ProfileStore`] with atomic publishes, a
-//!   manifest, a quarantining `fsck` scrub, and store-level fault
+//!   in a content-addressed [`ProfileStore`] with fsync'd atomic
+//!   publishes, a quarantining `fsck` scrub, and store-level fault
 //!   injection (torn writes, bit rot, `ENOSPC`, version skew) — so a
 //!   corrupted entry is detected and repaired, never served.
 //! * [`PhaseRecorder`] — phase-labeled cost attribution for multi-phase

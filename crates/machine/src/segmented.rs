@@ -39,8 +39,8 @@
 use std::time::Instant;
 
 use crate::checkpoint::{
-    load, resumable_replay, write_atomic, ByteWriter, CheckpointPolicy, ReplayControl,
-    ReplayInterrupt, ReplayStats, CHECKPOINT_VERSION,
+    load, resumable_replay, write_atomic, ByteWriter, CheckpointError, CheckpointPolicy,
+    ReplayControl, ReplayInterrupt, ReplayStats, CHECKPOINT_VERSION,
 };
 use crate::faults::{FaultPlan, InjectedFault};
 use crate::stackdist::{CapacityProfile, StackDistance};
@@ -299,7 +299,7 @@ where
             for k in 0..ranges.len() {
                 let _ = std::fs::remove_file(policy.file(&segment_file(k)));
             }
-            write_atomic(&mpath, &manifest)?;
+            write_atomic(&mpath, &manifest).map_err(CheckpointError::from)?;
         }
     }
 
