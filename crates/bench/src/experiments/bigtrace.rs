@@ -13,7 +13,9 @@
 //! * **segmented parallel Mattson** (`Engine::StackDistPar`): the stream
 //!   split into one time range per core, per-range histograms merged
 //!   exactly — bit-identical to the serial engine (pinned by proptest;
-//!   spot-checked here at small `n`);
+//!   spot-checked here at small `n`). Under `BALANCE_CKPT_DIR` the exact
+//!   pass is checkpointed, so it runs on the serial resumable replay
+//!   instead, and the header names the engine that ran;
 //! * **SHARDS-style sampling** (`Engine::Sampled`, rate 1/16): the
 //!   hash-sampled approximate curve, whose max relative IO error against
 //!   the exact curve is reported and asserted.
@@ -26,7 +28,7 @@
 use std::time::Instant;
 
 use balance_kernels::matmul::MatMul;
-use balance_kernels::sweep::{self, Engine, Measure, SweepConfig, SweepResult};
+use balance_kernels::sweep::{self, engine_spec, Engine, Measure, SweepConfig, SweepResult};
 use balance_kernels::Verify;
 use balance_machine::{CheckpointPolicy, DEFAULT_CHECKPOINT_EVERY};
 
@@ -65,21 +67,17 @@ fn env_checkpoint() -> Option<CheckpointPolicy> {
     Some(CheckpointPolicy::every(dir, every))
 }
 
-fn sweep(n: usize, engine: Engine) -> SweepResult {
-    let mut cfg = SweepConfig {
+fn sweep(n: usize, engine: Engine, checkpoint: Option<CheckpointPolicy>) -> SweepResult {
+    let cfg = SweepConfig {
         n,
         memories: (6..=21u32).map(|k| 1usize << k).collect(),
         seed: 0,
         verify: Verify::Full,
         engine,
         measure: Measure::CacheModel,
+        checkpoint,
         ..SweepConfig::default()
     };
-    // Only the exact passes checkpoint: the sampled pass is cheap to
-    // redo, and skipping it keeps the env-driven smoke run simple.
-    if !matches!(engine, Engine::Sampled { .. }) {
-        cfg.checkpoint = env_checkpoint();
-    }
     sweep::sweep(&MatMul, &cfg).unwrap_or_else(|e| panic!("matmul has a canonical trace: {e}"))
 }
 
@@ -120,24 +118,34 @@ pub fn e23_bigtrace_at(scale: Scale) -> Report {
     let addresses = 3 * n64.pow(3);
     let floor = 3 * n64.pow(2);
 
+    // Only the exact pass checkpoints: the sampled pass is cheap to redo,
+    // and skipping it keeps the env-driven smoke run simple. A checkpoint
+    // policy makes the segmented request run the serial resumable replay.
     let t0 = Instant::now();
-    let exact = sweep(n, Engine::StackDistPar { threads: 0 });
+    let exact = sweep(n, Engine::StackDistPar { threads: 0 }, env_checkpoint());
     let seg_wall = t0.elapsed();
     let t1 = Instant::now();
-    let sampled = sweep(n, Engine::Sampled { shift: SHIFT });
+    let sampled = sweep(n, Engine::Sampled { shift: SHIFT }, None);
     let samp_wall = t1.elapsed();
 
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let exact_label = match exact.provenance.as_ref().map(|p| p.used) {
+        Some(used) => format!("exact pass ({}):", engine_spec(used)),
+        None => {
+            let threads = std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1);
+            format!("segmented exact pass ({threads} threads):")
+        }
+    };
+    let sampled_label = format!("sampled pass (rate 1/{}):", 1u32 << SHIFT);
+    let width = exact_label.len().max(sampled_label.len());
     let mut body = format!(
         "naive matmul trace, n = {n}: {addresses} addresses over {floor} words\n\
-         segmented exact pass ({threads} threads): {:.2} s  ({:.1} M addr/s)\n\
-         sampled pass (rate 1/{}):            {:.2} s  ({:.1} M addr/s)\n\n\
+         {exact_label:<width$} {:.2} s  ({:.1} M addr/s)\n\
+         {sampled_label:<width$} {:.2} s  ({:.1} M addr/s)\n\n\
          {:>9} {:>13} {:>13} {:>10}\n",
         seg_wall.as_secs_f64(),
         addresses as f64 / seg_wall.as_secs_f64() / 1e6,
-        1u32 << SHIFT,
         samp_wall.as_secs_f64(),
         addresses as f64 / samp_wall.as_secs_f64() / 1e6,
         "M",
@@ -188,13 +196,13 @@ pub fn e23_bigtrace_at(scale: Scale) -> Report {
             exact.runs.len() == 16 && sampled.runs.len() == 16,
         ),
         Finding::new(
-            "segmented IO(M) monotone non-increasing",
+            "exact IO(M) monotone non-increasing",
             "inclusion property at scale",
             format!("{} -> {}", ios.first().unwrap_or_else(|| panic!("harness invariant violated: value missing")), ios.last().unwrap_or_else(|| panic!("harness invariant violated: value missing"))),
             ios.windows(2).all(|w| w[1] <= w[0]),
         ),
         Finding::new(
-            "segmented large-M floor is exactly compulsory",
+            "exact large-M floor is exactly compulsory",
             format!("{floor} distinct addresses"),
             format!("{}", ios.last().unwrap_or_else(|| panic!("harness invariant violated: value missing"))),
             *ios.last().unwrap_or_else(|| panic!("harness invariant violated: value missing")) == floor,
@@ -209,8 +217,8 @@ pub fn e23_bigtrace_at(scale: Scale) -> Report {
 
     // Small-n spot check of the tentpole guarantee (the full pin is the
     // machine-crate proptest): segmented == serial, bit for bit.
-    let small_serial = sweep(64, Engine::StackDist);
-    let small_seg = sweep(64, Engine::StackDistPar { threads: 0 });
+    let small_serial = sweep(64, Engine::StackDist, None);
+    let small_seg = sweep(64, Engine::StackDistPar { threads: 0 }, None);
     findings.push(Finding::new(
         "segmented engine bit-identical to serial (n = 64 spot check)",
         "identical runs",

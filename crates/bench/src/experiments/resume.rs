@@ -4,8 +4,9 @@
 //! lost to a crash and never OOMs a shared host: checkpoints make a
 //! killed replay resumable *bit-identically*, corrupt images are
 //! detected and discarded (never trusted), resource budgets degrade the
-//! engine down the sampling ladder instead of failing, and dead segment
-//! workers are retried. This experiment executes each of those promises
+//! engine down the sampling ladder instead of failing, and a checkpointed
+//! request for the segmented engine runs the one resumable exact engine,
+//! the serial replay. This experiment executes each of those promises
 //! under the deterministic fault-injection harness
 //! ([`balance_machine::FaultPlan`]) and checks the results against the
 //! uninterrupted exact curve.
@@ -17,7 +18,7 @@
 //! every `cargo test`.
 
 use balance_kernels::matmul::MatMul;
-use balance_kernels::sweep::{robust_capacity_profile, Engine, SweepConfig};
+use balance_kernels::sweep::{engine_spec, robust_capacity_profile, Engine, SweepConfig};
 use balance_kernels::{Kernel, KernelError};
 use balance_machine::{CheckpointPolicy, FaultPlan, StackDistance};
 use balance_core::Budget;
@@ -51,8 +52,8 @@ fn tmp_policy(tag: &str) -> CheckpointPolicy {
 }
 
 /// E24 — kill/resume bit-identity, corrupt-image fallback, budget
-/// degradation with provenance, and segment-worker retry, all under the
-/// seeded fault harness.
+/// degradation with provenance, and the serial substitution for a
+/// checkpointed segmented request, all under the seeded fault harness.
 #[must_use]
 pub fn e24_resume() -> Report {
     let trace = MatMul
@@ -138,25 +139,33 @@ pub fn e24_resume() -> Report {
         !degraded_profile.is_exact(),
     ));
 
-    // 5: a segment worker killed by the harness is retried (bounded) and
-    // the segmented result stays exact.
-    let policy = tmp_policy("segkill");
+    // 5: a checkpointed stackdist-par request runs the serial resumable
+    // replay (the one resumable exact engine), so the same kill resumes
+    // it, and the provenance reports the substitution.
+    let policy = tmp_policy("par");
     let cfg = sweep_cfg(Engine::StackDistPar { threads: 3 }, Some(policy.clone()));
-    let faults = FaultPlan::none().with_kill_segment(1, 1);
-    let (seg_profile, prov) = robust_capacity_profile(&MatMul, &cfg, &faults)
-        .unwrap_or_else(|e| panic!("segment retry completes: {e}"));
-    body.push_str(&format!("killed segment worker: {}\n", prov.describe()));
+    let _ = robust_capacity_profile(&MatMul, &cfg, &FaultPlan::none().with_die_at(DIE_AT));
+    let (par_profile, prov) = robust_capacity_profile(&MatMul, &cfg, &FaultPlan::none())
+        .unwrap_or_else(|e| panic!("resumed stackdist-par request completes: {e}"));
+    body.push_str(&format!(
+        "checkpointed stackdist-par: {}\n",
+        prov.describe()
+    ));
     findings.push(Finding::new(
-        "dead segment worker retried; segmented curve still exact",
-        ">= 1 retry, identical profiles",
-        format!("{} segment retries", prov.segment_retries),
-        prov.segment_retries >= 1 && seg_profile == reference,
+        "a checkpointed stackdist-par request runs the serial resumable replay and reports the substitution",
+        "substituted stackdist, resumed, identical profiles",
+        format!("used {}, resumed_at = {:?}", engine_spec(prov.used), prov.resumed_at),
+        prov.used == Engine::StackDist
+            && prov.describe().starts_with("substituted bit-identical stackdist for stackdist-par")
+            && prov.resumed_at.is_some()
+            && par_profile == reference,
     ));
     let _ = std::fs::remove_dir_all(&policy.dir);
 
     Report {
         id: "E24",
-        title: "fault-tolerant long runs: kill/resume, corrupt images, budgets, worker death",
+        title:
+            "fault-tolerant long runs: kill/resume, corrupt images, budgets, one resumable engine",
         body,
         findings,
     }

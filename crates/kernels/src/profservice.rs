@@ -12,10 +12,11 @@
 //!    reuse-distance histogram this is free *and* exact, so a miss or a
 //!    quarantined entry costs microseconds to heal;
 //! 3. **budgeted stack-distance recompute** — kernels without a closed
-//!    form replay their canonical trace (on the one-pass engine `auto`
-//!    resolves to, segmented past `AUTO_SEGMENT_LEN` addresses) through
-//!    [`robust_capacity_profile`], whose own budget ladder degrades
-//!    exact → sampled rather than hanging (PR 7 semantics);
+//!    form replay their canonical trace through
+//!    [`robust_capacity_profile`] on the engine `auto` resolves to: under
+//!    a budget, the serial one-pass engine, whose ladder degrades exact →
+//!    sampled rather than hanging; with no budget, the same engine, or the
+//!    plain segmented one past `AUTO_SEGMENT_LEN` addresses;
 //!
 //! and the repaired artifact is **re-persisted** so the next query is a
 //! hit again. Every answer carries its [`ServeSource`] (hit vs repaired,

@@ -45,10 +45,9 @@ use balance_core::{
     Words, WordsPerSec,
 };
 use balance_machine::{
-    resumable_replay, sampled_profile_of, segmented_profile_of, segmented_profile_resumable,
-    AnalyticProfile, CapacityProfile, CheckpointPolicy, FaultPlan, Hierarchy, LruCache,
-    MemorySystem as _, ReplayControl, ReplayInterrupt, SampledStackDistance, StackDistance,
-    TrafficProfile, MAX_SAMPLE_SHIFT,
+    resumable_replay, sampled_profile_of, segmented_profile_of, AnalyticProfile, CapacityProfile,
+    CheckpointPolicy, FaultPlan, Hierarchy, LruCache, MemorySystem as _, ReplayControl,
+    ReplayInterrupt, SampledStackDistance, StackDistance, TrafficProfile, MAX_SAMPLE_SHIFT,
 };
 
 use crate::error::KernelError;
@@ -88,7 +87,9 @@ pub enum Engine {
     /// Segmented parallel Mattson: the trace split into time ranges, one
     /// scoped thread each, merged exactly — bit-identical to
     /// [`Engine::StackDist`]. `threads = 0` means
-    /// `std::thread::available_parallelism()`.
+    /// `std::thread::available_parallelism()`. It is not resumable: a
+    /// budgeted or checkpointed request gets the serial engine in its
+    /// place ([`Engine::resolve`]).
     StackDistPar {
         /// Segment/worker count (0 = available parallelism).
         threads: usize,
@@ -183,15 +184,19 @@ impl Engine {
     ///   checkpointed request, or a whole-curve one (a config with no
     ///   memories, as the profile service and [`robust_capacity_profile`]
     ///   make), gets the bit-identical one-pass engine in its place.
+    /// * The serial one-pass engine is the one resumable exact engine (its
+    ///   replay checkpoints, polls the deadline and takes injected
+    ///   faults), so a budgeted or checkpointed `StackDistPar` request
+    ///   gets the bit-identical `StackDist` in its place too.
     /// * `Analytic` needs a closed form for the kernel at `cfg.n`.
     ///
     /// `auto` picks the analytic tier wherever it applies. Otherwise it
     /// picks the one-pass engine once it amortizes — at ≥ 4 capacities,
     /// counted as eligible memories × (1 + `cfg.outer.len()`), or for the
-    /// whole curve — escalating to [`Engine::StackDistPar`] for word-model
-    /// traces of at least [`AUTO_SEGMENT_LEN`] addresses; below that it
-    /// picks `Replay`. Sampling is never chosen: trading exactness is the
-    /// caller's call.
+    /// whole curve — escalating to [`Engine::StackDistPar`] for unbudgeted,
+    /// uncheckpointed word-model traces of at least [`AUTO_SEGMENT_LEN`]
+    /// addresses; below that it picks `Replay`. Sampling is never chosen:
+    /// trading exactness is the caller's call.
     ///
     /// # Errors
     ///
@@ -249,11 +254,12 @@ impl Engine {
                 Err(no_analytic(kernel, cfg.n))
             }
             Some(Engine::Replay) if !per_point => Ok(Engine::StackDist),
+            Some(Engine::StackDistPar { .. }) if robust => Ok(Engine::StackDist),
             Some(engine) => Ok(engine),
             None if kernel.analytic_profile(cfg.n).is_some() => Ok(Engine::Analytic),
             None if !amortized => Ok(Engine::Replay),
             None => Ok(match kernel.access_trace(cfg.n) {
-                Some(trace) if trace.len() >= AUTO_SEGMENT_LEN => {
+                Some(trace) if !robust && trace.len() >= AUTO_SEGMENT_LEN => {
                     Engine::StackDistPar { threads: 0 }
                 }
                 _ => Engine::StackDist,
@@ -941,33 +947,48 @@ fn capacity_profile(
         return analytic_profile(kernel, n);
     }
     let trace = trace_for(kernel, n)?;
-    let bound = direct_bound(trace.addr_bound());
     Ok(match engine {
         Engine::StackDistPar { threads } => {
-            let len = trace.len();
+            let (len, bound) = (trace.len(), trace.addr_bound());
             drop(trace);
-            // Each worker regenerates its time range from the kernel's
-            // streaming generator: the view's `skip` is the generator's
-            // O(1) closed-form seek (every trace but triangularization,
-            // which scans at generation speed).
-            segmented_profile_of(len, bound, resolve_threads(threads), |start, end| {
-                segment_range(kernel, n, start, end)
-            })
+            segmented_profile(kernel, n, len, bound, threads)
         }
         Engine::Sampled { shift } => sampled_profile_of(trace.into_addrs(), shift),
         _ => exact_profile(trace, depth),
     })
 }
-/// Resolves a [`Engine::StackDistPar`] thread count (`0` = the host's
-/// available parallelism).
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+
+/// The kernel's whole-curve profile on the segmented parallel engine, over
+/// `threads` workers (`0` = the host's available parallelism) for a trace
+/// of `len` addresses below `bound`.
+///
+/// # Panics
+///
+/// As [`kernel_addrs`], or when a trace position overflows `usize`.
+fn segmented_profile(
+    kernel: &dyn Kernel,
+    n: usize,
+    len: u64,
+    bound: u64,
+    threads: usize,
+) -> CapacityProfile {
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         threads
-    }
+    };
+    // Each worker regenerates its time range from the kernel's streaming
+    // generator: the view's `skip` is the generator's O(1) closed-form
+    // seek (every trace but triangularization, which scans at generation
+    // speed).
+    segmented_profile_of(len, direct_bound(bound), threads, |start, end| {
+        let pos = |p: u64| {
+            usize::try_from(p).unwrap_or_else(|_| panic!("trace position {p} overflows usize"))
+        };
+        kernel_addrs(kernel, n)
+            .skip(pos(start))
+            .take(pos(end) - pos(start))
+    })
 }
 
 /// The kernel's canonical address stream, for callers that have already
@@ -983,20 +1004,6 @@ fn kernel_addrs(kernel: &dyn Kernel, n: usize) -> impl Iterator<Item = u64> + Se
         .into_addrs()
 }
 
-/// One segment worker's slice of the kernel's canonical trace,
-/// regenerated from the streaming generator.
-///
-/// # Panics
-///
-/// As [`kernel_addrs`], or when a trace position overflows `usize`.
-fn segment_range(kernel: &dyn Kernel, n: usize, start: u64, end: u64) -> impl Iterator<Item = u64> {
-    let start =
-        usize::try_from(start).unwrap_or_else(|_| panic!("trace position {start} overflows usize"));
-    let end =
-        usize::try_from(end).unwrap_or_else(|_| panic!("trace position {end} overflows usize"));
-    kernel_addrs(kernel, n).skip(start).take(end - start)
-}
-
 /// Sampling-rate exponent step between successive rungs of the
 /// degradation ladder (the first sampled rung runs at rate `2^-4`).
 const LADDER_SHIFT_STEP: u32 = 4;
@@ -1007,10 +1014,11 @@ const SAMPLED_DEADLINE_POLL: u64 = 1 << 20;
 
 /// Planning estimate of the exact engine's state per address of the
 /// bound: last access (8) + two slots (16) + marker bits (½) + one
-/// histogram counter (8) + a segment worker's first-touch record (8).
-/// Used only to *pre-trip* [`Budget::max_resident_bytes`] before
-/// allocating — a sizing model, not an rlimit; a test pins the real
-/// allocation ([`StackDistance::resident_bytes`]) below it.
+/// histogram counter (8), with the rest headroom (lowering it would flip
+/// resident pre-checks that pass today). Used only to *pre-trip*
+/// [`Budget::max_resident_bytes`] before allocating — a sizing model, not
+/// an rlimit; a test pins the real allocation
+/// ([`StackDistance::resident_bytes`]) below it.
 const TRACKED_ADDRESS_BYTES: u64 = 48;
 
 /// The same per address a sampled rung renames: renamer slots at 25–50%
@@ -1022,18 +1030,21 @@ const SAMPLED_ADDRESS_BYTES: u64 = 144;
 /// degradation ladder, or `None` at the floor:
 ///
 /// ```text
-/// stackdist-par:K → stackdist → sampled:4 → sampled:8 → … → sampled:32
+/// stackdist → sampled:4 → sampled:8 → … → sampled:32
 /// ```
 ///
-/// `Replay` enters at `stackdist`, its bit-identical one-pass
-/// equivalent. Every estimate ([`Budget::max_resident_bytes`],
+/// The ladder starts at `stackdist`, the one resumable exact engine:
+/// [`Engine::resolve`] gives a budgeted or checkpointed `Replay` or
+/// `StackDistPar` request its bit-identical serial equivalent. Every
+/// estimate ([`Budget::max_resident_bytes`],
 /// [`Budget::max_addresses`]) is monotone non-increasing down the
 /// ladder (for any trace over 4 or more addresses), so one downward pass
 /// settles all pre-checks.
 fn next_rung(engine: Engine) -> Option<Engine> {
     match engine {
         // Analytic never enters the ladder (it is free and cannot trip a
-        // budget — see `robust_capacity_profile`); its nominal next exact
+        // budget — see `robust_capacity_profile`), and resolve substitutes
+        // the serial engine for the other two; their nominal next exact
         // tier keeps the ladder total.
         Engine::Analytic | Engine::Replay | Engine::StackDistPar { .. } => Some(Engine::StackDist),
         Engine::StackDist => Some(Engine::Sampled {
@@ -1049,27 +1060,23 @@ fn next_rung(engine: Engine) -> Option<Engine> {
 /// Order-of-magnitude estimate of `engine`'s resident state for a trace
 /// of `len` addresses drawn from `bound` distinct ones (`len` stands in
 /// when the bound is unknown): [`TRACKED_ADDRESS_BYTES`] per address of
-/// the bound, per concurrent worker, for the exact rungs. The sampled
-/// rungs rename only the expected `bound · 2^-shift` sampled addresses
+/// the bound for the exact rungs. The sampled rungs rename only the
+/// expected `bound · 2^-shift` sampled addresses
 /// ([`SAMPLED_ADDRESS_BYTES`] each) — that is what makes them genuinely
 /// cheaper, not just faster.
 fn estimated_resident_bytes(engine: Engine, bound: u64, len: u64) -> u64 {
     let tracked = if bound > 0 { bound } else { len };
-    let (per_worker, workers) = match engine {
+    match engine {
         // A finalized analytic histogram is O(#classes) — noise next to
         // any per-address table.
-        Engine::Analytic => (0, 1),
-        Engine::Replay | Engine::StackDist => (tracked.saturating_mul(TRACKED_ADDRESS_BYTES), 1),
-        Engine::StackDistPar { threads } => (
-            tracked.saturating_mul(TRACKED_ADDRESS_BYTES),
-            resolve_threads(threads),
-        ),
-        Engine::Sampled { shift } => (
-            (tracked >> shift).max(1).saturating_mul(SAMPLED_ADDRESS_BYTES),
-            1,
-        ),
-    };
-    per_worker.saturating_mul(workers as u64)
+        Engine::Analytic => 0,
+        Engine::Replay | Engine::StackDist | Engine::StackDistPar { .. } => {
+            tracked.saturating_mul(TRACKED_ADDRESS_BYTES)
+        }
+        Engine::Sampled { shift } => (tracked >> shift)
+            .max(1)
+            .saturating_mul(SAMPLED_ADDRESS_BYTES),
+    }
 }
 
 /// Addresses the inner exact engine processes — the quantity
@@ -1157,11 +1164,6 @@ pub struct Provenance {
     /// `Some(pos)` when the serial replay resumed from a checkpoint at
     /// trace position `pos` instead of starting fresh.
     pub resumed_at: Option<u64>,
-    /// Segment workers that resumed from persisted images (segmented
-    /// engine only).
-    pub resumed_segments: usize,
-    /// Dead segment workers that were re-run within the bounded retry.
-    pub segment_retries: u64,
     /// Checkpoints persisted while building the profile.
     pub checkpoints_written: u64,
 }
@@ -1195,15 +1197,6 @@ impl Provenance {
         if let Some(pos) = self.resumed_at {
             line.push_str(&format!("; resumed at address {pos}"));
         }
-        if self.resumed_segments > 0 {
-            line.push_str(&format!("; resumed {} segment(s)", self.resumed_segments));
-        }
-        if self.segment_retries > 0 {
-            line.push_str(&format!(
-                "; retried {} dead segment worker(s)",
-                self.segment_retries
-            ));
-        }
         if self.checkpoints_written > 0 {
             line.push_str(&format!(
                 "; wrote {} checkpoint(s)",
@@ -1221,14 +1214,13 @@ fn checkpoint_name(kernel: &dyn Kernel, n: usize) -> String {
     format!("{}_n{n}", kernel.name())
 }
 
-/// One ladder rung's attempt at the profile. Exact rungs run through the
-/// resumable (checkpointed, deadline-polled, fault-checked) replay
-/// drivers; sampled rungs stream through [`SampledStackDistance`], which
-/// renames only its sampled addresses, with the same deadline/fault
+/// One ladder rung's attempt at the profile. The exact serial rung runs
+/// through the resumable (checkpointed, deadline-polled, fault-checked)
+/// replay driver; sampled rungs stream through [`SampledStackDistance`],
+/// which renames only its sampled addresses, with the same deadline/fault
 /// cadence (sampled state is small enough that checkpointing it is not
-/// worth the I/O).
-/// The returned [`Provenance`] carries the attempt's durability counters
-/// only.
+/// worth the I/O). The returned [`Provenance`] carries the attempt's
+/// durability counters only.
 fn run_profile_attempt(
     kernel: &dyn Kernel,
     cfg: &SweepConfig,
@@ -1259,26 +1251,14 @@ fn run_profile_attempt(
                 },
             ))
         }
-        Engine::StackDistPar { threads } => {
-            let (profile, stats) = segmented_profile_resumable(
-                len,
-                direct_bound(bound),
-                resolve_threads(threads),
-                |start, end| segment_range(kernel, cfg.n, start, end),
-                cfg.checkpoint.as_ref(),
-                faults,
-                deadline,
-            )?;
-            Ok((
-                profile,
-                Provenance {
-                    resumed_segments: stats.resumed_segments,
-                    segment_retries: stats.segment_retries,
-                    checkpoints_written: stats.checkpoints_written,
-                    ..Provenance::default()
-                },
-            ))
-        }
+        // Only an unbudgeted, uncheckpointed request gets here (resolve
+        // gives a robust one the serial rung), as the profile service's
+        // whole-curve repair of a long trace does: there is no deadline to
+        // poll and nothing to persist, so it is the plain segmented pass.
+        Engine::StackDistPar { threads } => Ok((
+            segmented_profile(kernel, cfg.n, len, bound, threads),
+            Provenance::default(),
+        )),
         Engine::Sampled { shift } => {
             let mut eng = SampledStackDistance::new(shift);
             let armed = faults.is_armed();
@@ -1310,10 +1290,15 @@ fn run_profile_attempt(
 /// for the whole curve, so a requested replay enters the ladder as its
 /// bit-identical one-pass engine.
 ///
-/// The ladder (see [`next_rung`] in this module): segmented-parallel →
-/// serial one-pass → SHARDS sampling at rate `2^-4`, then coarser powers
-/// down to `2^-32`. Resident-memory and address limits are pre-checked
-/// from sizing estimates before an attempt is paid for; the wall limit
+/// The ladder (see [`next_rung`] in this module): serial one-pass →
+/// SHARDS sampling at rate `2^-4`, then coarser powers down to `2^-32`.
+/// The serial one-pass engine is the one resumable exact engine: under a
+/// budget or checkpoint policy a `stackdist-par` request runs it (the
+/// provenance names the substitution), and so does `auto` at any trace
+/// length. Unbudgeted and uncheckpointed, a `stackdist-par` request runs
+/// the plain segmented pass, which takes no faults. Resident-memory and
+/// address limits are pre-checked from sizing estimates before an
+/// attempt is paid for; the wall limit
 /// arms a deadline polled during the replay, and a rung that runs out of
 /// time checkpoints its progress first (when a policy is armed). The
 /// floor rung runs without a deadline — a late answer beats none.
@@ -2336,62 +2321,80 @@ mod tests {
             (&fft, 8),
             (&fft, fft_long),
         ];
-        // (request, device model, budget) → the engine for matmul (closed
-        // form) short and long, then fft (none) short and long.
-        let table: &[(&str, bool, bool, [&str; 4])] = &[
+        // How a row's request is made robust.
+        #[derive(Debug, Clone, Copy)]
+        enum Robust {
+            No,
+            Budget,
+            Checkpoint,
+        }
+        use Robust::{Budget as B, Checkpoint as C, No};
+        // (request, device model, robustness) → the engine for matmul
+        // (closed form) short and long, then fft (none) short and long.
+        let table: &[(&str, bool, Robust, [&str; 4])] = &[
             (
                 "auto",
                 false,
-                false,
+                No,
                 ["analytic", "analytic", "stackdist", "stackdist-par"],
             ),
-            ("replay", false, false, ["replay"; 4]),
-            ("stackdist", false, false, ["stackdist"; 4]),
-            ("stackdist-par:2", false, false, ["stackdist-par:2"; 4]),
-            ("sampled:4", false, false, ["sampled:4"; 4]),
+            ("replay", false, No, ["replay"; 4]),
+            ("stackdist", false, No, ["stackdist"; 4]),
+            ("stackdist-par:2", false, No, ["stackdist-par:2"; 4]),
+            ("sampled:4", false, No, ["sampled:4"; 4]),
             (
                 "analytic",
                 false,
-                false,
+                No,
                 ["analytic", "analytic", "err", "err"],
             ),
+            // The serial one-pass engine is the one resumable exact
+            // engine: a budgeted or checkpointed request for the
+            // segmented one, explicit or by `auto`'s escalation, gets it.
             (
                 "auto",
                 false,
-                true,
-                ["analytic", "analytic", "stackdist", "stackdist-par"],
+                B,
+                ["analytic", "analytic", "stackdist", "stackdist"],
             ),
-            ("replay", false, true, ["stackdist"; 4]),
-            ("stackdist", false, true, ["stackdist"; 4]),
-            ("stackdist-par:2", false, true, ["stackdist-par:2"; 4]),
-            ("sampled:4", false, true, ["sampled:4"; 4]),
+            ("replay", false, B, ["stackdist"; 4]),
+            ("stackdist", false, B, ["stackdist"; 4]),
+            ("stackdist-par:2", false, B, ["stackdist"; 4]),
+            ("sampled:4", false, B, ["sampled:4"; 4]),
+            ("analytic", false, B, ["analytic", "analytic", "err", "err"]),
             (
-                "analytic",
+                "auto",
                 false,
-                true,
-                ["analytic", "analytic", "err", "err"],
+                C,
+                ["analytic", "analytic", "stackdist", "stackdist"],
             ),
-            ("auto", true, false, ["stackdist"; 4]),
-            ("replay", true, false, ["replay"; 4]),
-            ("stackdist", true, false, ["stackdist"; 4]),
-            ("stackdist-par:2", true, false, ["err"; 4]),
-            ("sampled:4", true, false, ["err"; 4]),
-            ("analytic", true, false, ["stackdist"; 4]),
-            ("auto", true, true, ["err"; 4]),
-            ("replay", true, true, ["err"; 4]),
-            ("stackdist", true, true, ["err"; 4]),
-            ("stackdist-par:2", true, true, ["err"; 4]),
-            ("sampled:4", true, true, ["err"; 4]),
-            ("analytic", true, true, ["err"; 4]),
+            ("replay", false, C, ["stackdist"; 4]),
+            ("stackdist-par:2", false, C, ["stackdist"; 4]),
+            ("sampled:4", false, C, ["sampled:4"; 4]),
+            ("auto", true, No, ["stackdist"; 4]),
+            ("replay", true, No, ["replay"; 4]),
+            ("stackdist", true, No, ["stackdist"; 4]),
+            ("stackdist-par:2", true, No, ["err"; 4]),
+            ("sampled:4", true, No, ["err"; 4]),
+            ("analytic", true, No, ["stackdist"; 4]),
+            ("auto", true, B, ["err"; 4]),
+            ("replay", true, B, ["err"; 4]),
+            ("stackdist", true, B, ["err"; 4]),
+            ("stackdist-par:2", true, B, ["err"; 4]),
+            ("sampled:4", true, B, ["err"; 4]),
+            ("analytic", true, B, ["err"; 4]),
+            ("stackdist-par:2", true, C, ["err"; 4]),
         ];
-        for &(request, device, budgeted, want) in table {
+        for &(request, device, robust, want) in table {
             for (&(kernel, n), want) in cases.iter().zip(want) {
                 let mut cfg = cache_cfg(n, (6..14).map(|k| 1 << k).collect());
                 if device {
                     cfg = cfg.with_traffic(TrafficModel::device(8));
                 }
-                if budgeted {
-                    cfg = cfg.with_budget(Budget::unlimited());
+                match robust {
+                    No => {}
+                    B => cfg = cfg.with_budget(Budget::unlimited()),
+                    C => cfg.checkpoint = Some(CheckpointPolicy::every("unused", 1)),
                 }
                 let got = match Engine::resolve(Engine::parse(request).unwrap(), kernel, &cfg) {
                     Ok(engine) => engine_spec(engine),
@@ -2401,7 +2404,7 @@ mod tests {
                 assert_eq!(
                     got,
                     want,
-                    "{request} for {} n = {n}, device {device}, budget {budgeted}",
+                    "{request} for {} n = {n}, device {device}, {robust:?}",
                     kernel.name()
                 );
             }
@@ -2663,7 +2666,8 @@ mod tests {
         let prov = result.provenance.clone().unwrap();
         assert!(prov.degraded());
         assert!(matches!(prov.used, Engine::Sampled { .. }), "{prov:?}");
-        // The whole ladder walk is on record: par → serial → sampled.
+        // The whole ladder walk is on record: the par request runs as
+        // serial, which degrades to sampled:4, then sampled:8.
         assert!(prov.steps.len() >= 2, "{prov:?}");
         assert!(matches!(prov.steps[0].trip, BudgetTrip::Resident { .. }));
         assert!(prov.describe().starts_with("degraded"));
@@ -2790,33 +2794,46 @@ mod tests {
     }
 
     #[test]
-    fn killed_segment_worker_inside_a_robust_sweep_is_retried() {
-        let policy = tmp_policy("segkill", 500);
+    fn checkpointed_stackdist_par_request_resumes_on_the_serial_replay() {
+        let n = 12;
+        let len = MatMul.access_trace(n).unwrap().len();
+        let every = 500;
+        let policy = tmp_policy("par-resume", every);
         let cfg = SweepConfig {
-            n: 12,
+            n,
             memories: vec![64],
             engine: Engine::StackDistPar { threads: 3 },
             checkpoint: Some(policy.clone()),
             ..SweepConfig::default()
         };
-        let faults = FaultPlan::none().with_kill_segment(1, 1);
-        let (profile, prov) = robust_capacity_profile(&MatMul, &cfg, &faults).unwrap();
-        assert_eq!(profile, exact_matmul_profile(12));
-        assert!(prov.segment_retries >= 1, "{prov:?}");
-        assert!(prov.describe().contains("dead segment worker"));
+        // A kill at half the trace lands in the serial replay; a segment
+        // worker would count positions within its own third and miss it.
+        let faults = FaultPlan::none().with_die_at(len / 2);
+        let err = robust_capacity_profile(&MatMul, &cfg, &faults).unwrap_err();
+        assert!(matches!(err, KernelError::Interrupted { .. }), "{err}");
+        let (profile, prov) = robust_capacity_profile(&MatMul, &cfg, &FaultPlan::none()).unwrap();
+        assert_eq!(profile, exact_matmul_profile(n));
+        assert_eq!(prov.used, Engine::StackDist, "{prov:?}");
+        let resumed = prov.resumed_at.unwrap();
+        assert!((every..len).contains(&resumed), "resumed at {resumed}");
+        assert!(
+            prov.describe()
+                .starts_with("substituted bit-identical stackdist for stackdist-par:3"),
+            "{}",
+            prov.describe()
+        );
         let _ = std::fs::remove_dir_all(&policy.dir);
     }
 
     #[test]
     fn degradation_ladder_walks_par_serial_sampled_to_the_floor() {
-        let mut engine = Engine::StackDistPar { threads: 0 };
+        let mut engine = Engine::StackDist;
         let mut rungs = vec![engine];
         while let Some(next) = next_rung(engine) {
             engine = next;
             rungs.push(engine);
         }
-        assert_eq!(rungs[1], Engine::StackDist);
-        assert_eq!(rungs[2], Engine::Sampled { shift: 4 });
+        assert_eq!(rungs[1], Engine::Sampled { shift: 4 });
         assert_eq!(
             *rungs.last().unwrap(),
             Engine::Sampled {
@@ -2837,8 +2854,13 @@ mod tests {
                 "{pair:?}"
             );
         }
-        // Replay enters at the serial one-pass rung.
+        // Replay and the segmented engine enter at the serial one-pass
+        // rung (resolve substitutes it for them before the ladder runs).
         assert_eq!(next_rung(Engine::Replay), Some(Engine::StackDist));
+        assert_eq!(
+            next_rung(Engine::StackDistPar { threads: 0 }),
+            Some(Engine::StackDist)
+        );
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! the consumed prefix, observe the rest under an optional
 //! [`CheckpointPolicy`] (a [`write_atomic`] publish every N addresses),
 //! an optional wall-clock deadline, and a deterministic
-//! [`FaultPlan`](crate::faults::FaultPlan). The segmented engine
-//! ([`crate::segmented`]) runs the same driver per worker with
-//! per-segment images plus a manifest.
+//! [`FaultPlan`](crate::faults::FaultPlan). It is the one resumable
+//! exact engine: the exact rung of every budgeted or checkpointed sweep
+//! is this serial replay, with one image per run.
 
 use std::fmt;
 use std::fs::{self, File};
@@ -318,10 +318,10 @@ impl CheckpointPolicy {
 static PUBLISH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Durably and atomically persists `bytes` at `path` — the crate's one
-/// publish routine, for `KBSD` checkpoints, the `KBSM` segmented manifest
-/// and `KBCP` store images. It writes a temp file private to this writer
-/// (`<path>.<pid>.<seq>.tmp`), `sync_all`s it, renames it over `path`,
-/// then `sync_all`s the directory so the rename itself is on disk. A
+/// publish routine, for `KBSD` checkpoints and `KBCP` store images. It
+/// writes a temp file private to this writer (`<path>.<pid>.<seq>.tmp`),
+/// `sync_all`s it, renames it over `path`, then `sync_all`s the directory
+/// so the rename itself is on disk. A
 /// reader, a resume after SIGKILL or power loss, and a concurrent writer
 /// of the same path each see a complete image, never a torn one.
 ///
@@ -418,10 +418,6 @@ pub struct ReplayControl<'a> {
     pub faults: &'a FaultPlan,
     /// Hard wall-clock deadline, polled every [`DEADLINE_POLL`] addresses.
     pub deadline: Option<Instant>,
-    /// On completion: `true` persists a final full-state image (segmented
-    /// workers, so a later resume skips the whole range); `false` removes
-    /// the image (the run is done, nothing to resume).
-    pub persist_final: bool,
 }
 
 /// No faults: the default `FaultPlan` shared by plain replays.
@@ -437,7 +433,6 @@ impl<'a> ReplayControl<'a> {
             policy: None,
             faults: &NO_FAULTS,
             deadline: None,
-            persist_final: false,
         }
     }
 }
@@ -562,12 +557,8 @@ where
     }
 
     if let Some(path) = &path {
-        if ctl.persist_final {
-            write_checkpoint(path, &engine, ctl.faults)?;
-            stats.checkpoints_written += 1;
-        } else {
-            let _ = fs::remove_file(path);
-        }
+        // The run is done: its image has nothing left to resume.
+        let _ = fs::remove_file(path);
     }
     Ok((engine, stats))
 }
@@ -687,7 +678,6 @@ mod tests {
             policy: Some(&policy),
             faults: &faults,
             deadline: None,
-            persist_final: false,
         };
         let err = resumable_replay(len, trace(len), StackDistance::new, &ctl).unwrap_err();
         assert!(matches!(err, ReplayInterrupt::Fault(InjectedFault::Die { at: 17_777 })));
@@ -716,7 +706,6 @@ mod tests {
             policy: Some(&policy),
             faults: &faults,
             deadline: None,
-            persist_final: false,
         };
         let _ = resumable_replay(len, trace(len), StackDistance::new, &ctl).unwrap_err();
         assert!(policy.file("replay").exists());
@@ -738,33 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn persist_final_leaves_a_complete_image() {
-        let len = 1500u64;
-        let dir = tmp_dir("final");
-        let policy = CheckpointPolicy::every(&dir, 1 << 30);
-        let ctl = ReplayControl {
-            name: "seg_0",
-            policy: Some(&policy),
-            faults: &NO_FAULTS,
-            deadline: None,
-            persist_final: true,
-        };
-        let (engine, _) = resumable_replay(len, trace(len), StackDistance::new, &ctl).unwrap();
-        let restored = StackDistance::restore(&load(&policy.file("seg_0")).unwrap()).unwrap();
-        assert_eq!(restored.accesses(), len);
-        assert_eq!(restored.into_profile(), engine.into_profile());
-
-        // Re-running resumes at the end and observes nothing.
-        let (engine2, stats) =
-            resumable_replay(len, trace(len), StackDistance::new, &ctl).unwrap();
-        assert_eq!(stats.resumed_at, Some(len));
-        let mut plain = StackDistance::new();
-        plain.observe_trace(trace(len));
-        assert_eq!(engine2.into_profile(), plain.into_profile());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn past_deadline_interrupts_and_checkpoints() {
         let len = DEADLINE_POLL + 10;
         let dir = tmp_dir("deadline");
@@ -774,7 +736,6 @@ mod tests {
             policy: Some(&policy),
             faults: &NO_FAULTS,
             deadline: Some(Instant::now()),
-            persist_final: false,
         };
         let err =
             resumable_replay(len, (0..len).map(|i| i % 31), StackDistance::new, &ctl).unwrap_err();

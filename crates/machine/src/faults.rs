@@ -1,21 +1,20 @@
 //! Deterministic fault injection for the replay engines.
 //!
 //! A billion-address replay meets real failures — OOM kills mid-stream,
-//! preempted segment workers, torn checkpoint files — but none of them
-//! reproduce on demand, so the recovery paths they exercise rot unless a
-//! harness can trigger them *deterministically*. A [`FaultPlan`] is that
-//! harness: a small set of one-shot triggers (die at address `k`,
+//! torn checkpoint files, torn or bit-rotted store images — but none of
+//! them reproduce on demand, so the recovery paths they exercise rot
+//! unless a harness can trigger them *deterministically*. A [`FaultPlan`]
+//! is that harness: a small set of one-shot triggers (die at address `k`,
 //! allocation failure at address `k`, corrupt the next checkpoint write,
-//! kill segment worker `i`) armed up front — by a test, a proptest
+//! fault the next store publish) armed up front — by a test, a proptest
 //! strategy, or a seed — and consumed exactly once as the replay crosses
-//! them. The checkpoint/resume machinery ([`crate::checkpoint`]) and the
-//! segmented engine's bounded retry are tested *through* these faults:
-//! the proptests assert that a replay killed at an arbitrary address and
-//! resumed from its checkpoint is bit-identical to an uninterrupted run.
+//! them. The checkpoint/resume machinery ([`crate::checkpoint`]) is
+//! tested *through* these faults: the proptests assert that a replay
+//! killed at an arbitrary address and resumed from its checkpoint is
+//! bit-identical to an uninterrupted run.
 //!
 //! Triggers use atomic one-shot consumption (`compare_exchange`), so a
-//! plan is `Sync` and can be shared across segment workers; a consumed
-//! trigger never fires twice, which is what makes bounded retry converge.
+//! plan is `Sync` and a consumed trigger never fires twice.
 
 use core::fmt;
 use core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -37,11 +36,6 @@ pub struct FaultPlan {
     /// Number of upcoming checkpoint writes to corrupt (byte flip in the
     /// payload — must be caught by the checksum on restore).
     corrupt_checkpoints: AtomicU32,
-    /// Segment-worker index that dies mid-range (see
-    /// [`FaultPlan::segment_dies`]).
-    kill_segment: AtomicU64,
-    /// How many times that segment worker dies before succeeding.
-    kill_segment_times: AtomicU32,
     /// Upcoming profile-store publishes to tear (only a prefix of the
     /// image reaches the final path, as a power loss after a partial
     /// write would leave it).
@@ -71,8 +65,6 @@ impl FaultPlan {
             die_at: AtomicU64::new(NEVER),
             alloc_fail_at: AtomicU64::new(NEVER),
             corrupt_checkpoints: AtomicU32::new(0),
-            kill_segment: AtomicU64::new(NEVER),
-            kill_segment_times: AtomicU32::new(0),
             store_torn_writes: AtomicU32::new(0),
             store_bit_flips: AtomicU32::new(0),
             store_enospc: AtomicU32::new(0),
@@ -100,16 +92,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_corrupt_checkpoints(self, times: u32) -> FaultPlan {
         self.corrupt_checkpoints.store(times, Ordering::Relaxed);
-        self
-    }
-
-    /// Arms `times` deaths of segment worker `segment` (each mid-range;
-    /// the segmented driver's bounded retry must absorb them).
-    #[must_use]
-    pub fn with_kill_segment(self, segment: usize, times: u32) -> FaultPlan {
-        self.kill_segment
-            .store(segment as u64, Ordering::Relaxed);
-        self.kill_segment_times.store(times, Ordering::Relaxed);
         self
     }
 
@@ -190,8 +172,8 @@ impl FaultPlan {
 
     /// A pseudo-random plan derived entirely from `seed` over a replay of
     /// `len` addresses: a death somewhere in the trace, sometimes a
-    /// corrupted checkpoint, sometimes a segment-worker death. Same seed,
-    /// same plan — the deterministic entry point for soak tests.
+    /// corrupted checkpoint. Same seed, same plan — the deterministic
+    /// entry point for soak tests.
     #[must_use]
     pub fn seeded(seed: u64, len: u64) -> FaultPlan {
         let plan = FaultPlan::none();
@@ -201,11 +183,6 @@ impl FaultPlan {
         }
         if splitmix64(seed ^ 1) & 3 == 0 {
             plan.corrupt_checkpoints.store(1, Ordering::Relaxed);
-        }
-        if splitmix64(seed ^ 2) & 1 == 0 {
-            plan.kill_segment
-                .store(splitmix64(seed ^ 3) % 16, Ordering::Relaxed);
-            plan.kill_segment_times.store(1, Ordering::Relaxed);
         }
         plan
     }
@@ -249,16 +226,6 @@ impl FaultPlan {
         self.corrupt_checkpoints
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
             .is_ok()
-    }
-
-    /// Consumes one death of segment worker `segment`, if armed for it.
-    #[must_use]
-    pub fn segment_dies(&self, segment: usize) -> bool {
-        self.kill_segment.load(Ordering::Relaxed) == segment as u64
-            && self
-                .kill_segment_times
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
     }
 }
 
@@ -305,12 +272,6 @@ pub enum InjectedFault {
         /// 0-based replay position of the failure.
         at: u64,
     },
-    /// Segment worker `segment` died mid-range more times than the
-    /// bounded retry allows.
-    SegmentDeath {
-        /// Index of the killed segment worker.
-        segment: usize,
-    },
 }
 
 impl fmt::Display for InjectedFault {
@@ -319,9 +280,6 @@ impl fmt::Display for InjectedFault {
             InjectedFault::Die { at } => write!(f, "injected death at replay position {at}"),
             InjectedFault::AllocFail { at } => {
                 write!(f, "injected allocation failure at replay position {at}")
-            }
-            InjectedFault::SegmentDeath { segment } => {
-                write!(f, "injected death of segment worker {segment}")
             }
         }
     }
@@ -356,15 +314,6 @@ mod tests {
         assert!(plan.take_checkpoint_corruption());
         assert!(plan.take_checkpoint_corruption());
         assert!(!plan.take_checkpoint_corruption());
-    }
-
-    #[test]
-    fn segment_death_targets_one_worker() {
-        let plan = FaultPlan::none().with_kill_segment(3, 2);
-        assert!(!plan.segment_dies(0));
-        assert!(plan.segment_dies(3));
-        assert!(plan.segment_dies(3));
-        assert!(!plan.segment_dies(3), "times exhausted");
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!   checksummed engine snapshots ([`StackDistance::snapshot`]) behind a
 //!   resumable replay driver ([`resumable_replay`]), plus a deterministic
 //!   fault-injection harness (seeded deaths, allocation failures,
-//!   checkpoint corruption, segment-worker kills) that the recovery paths
+//!   checkpoint corruption, store-publish faults) that the recovery paths
 //!   are continuously tested through.
 //! * [`profstore`] — the crash-safe home of the measured artifacts:
 //!   versioned, checksummed `KBCP` profile images (capacity and traffic)
@@ -123,9 +123,7 @@ pub use sampling::{
     sampled_profile_of, sampled_profile_of_bounded, splitmix64, SampledStackDistance,
     MAX_SAMPLE_SHIFT,
 };
-pub use segmented::{
-    segmented_profile_of, segmented_profile_resumable, SegmentedStats, MAX_SEGMENT_RETRIES,
-};
+pub use segmented::segmented_profile_of;
 pub use stackdist::{AnalyticProfile, CapacityProfile, StackDistance, TrafficProfile};
 pub use memory::{BufferId, LocalMemory};
 pub use pe::Pe;

@@ -2,9 +2,8 @@
 
 use balance_core::Words;
 use balance_machine::{
-    resumable_replay, sampled_profile_of, segmented_profile_of, segmented_profile_resumable,
-    CapacityProfile, CheckpointPolicy, ExternalStore, FaultPlan, Hierarchy, LruCache,
-    MemorySystem, Pe, ReplayControl, StackDistance,
+    resumable_replay, sampled_profile_of, segmented_profile_of, CapacityProfile, CheckpointPolicy,
+    ExternalStore, FaultPlan, Hierarchy, LruCache, MemorySystem, Pe, ReplayControl, StackDistance,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -458,46 +457,6 @@ proptest! {
             prop_assert!(p <= die_at && p % every == 0, "resumed at {}", p);
         }
         prop_assert_eq!(engine.into_profile(), uninterrupted);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The same guarantee through the segmented parallel engine: a
-    /// segment worker killed by the harness is retried (bounded) and the
-    /// merged curve stays bit-identical to the serial replay.
-    #[test]
-    fn killed_segment_worker_retries_to_the_serial_curve(
-        trace in proptest::collection::vec(0u64..96, 8..300),
-        segments in 2usize..8,
-        victim in 0usize..8,
-        every in 1u64..64,
-    ) {
-        let serial = StackDistance::profile_of(trace.iter().copied());
-        let len = trace.len() as u64;
-        let victim = victim % segments;
-        let slice = |start: u64, end: u64| {
-            trace[usize::try_from(start).unwrap()..usize::try_from(end).unwrap()]
-                .iter()
-                .copied()
-        };
-        let dir = std::env::temp_dir().join(format!(
-            "balance-prop-segkill-{len}-{segments}-{victim}-{every}-{}",
-            std::process::id(),
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let policy = CheckpointPolicy::every(dir.clone(), every);
-        let faults = FaultPlan::none().with_kill_segment(victim, 1);
-        let (profile, stats) = segmented_profile_resumable(
-            len,
-            Some(96),
-            segments,
-            slice,
-            Some(&policy),
-            &faults,
-            None,
-        )
-        .unwrap();
-        prop_assert!(stats.segment_retries >= 1, "worker {} was armed to die once", victim);
-        prop_assert_eq!(profile, serial);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
