@@ -128,9 +128,13 @@ pub fn e24_resume() -> Report {
     body.push_str(&format!("tripped 16 kB budget: {}\n", prov.describe()));
     findings.push(Finding::new(
         "tripped resident budget degrades to the sampled engine",
-        "provenance: degraded ... -> sampled",
+        "provenance: substituted ... for stackdist-par, then degraded ... -> sampled",
         prov.describe(),
-        prov.degraded() && matches!(prov.used, Engine::Sampled { .. }),
+        prov.degraded()
+            && matches!(prov.used, Engine::Sampled { .. })
+            && prov.describe().starts_with(
+                "substituted bit-identical stackdist for stackdist-par, then degraded",
+            ),
     ));
     findings.push(Finding::new(
         "degraded profile self-identifies as approximate",

@@ -816,9 +816,10 @@ fn point_replay(
 }
 
 /// Whether the address bound is worth a direct-indexed last-access table
-/// (a flat `8 × bound`-byte allocation per engine/worker). The one backend
-/// chooser: every engine this crate builds — the sweeps and the profile
-/// service's repairs — routes its backend choice through here.
+/// (a flat `4 × bound`-byte allocation per engine/worker, inside the
+/// engine's `u32` id space). The one backend chooser: every engine this
+/// crate builds — the sweeps and the profile service's repairs — routes
+/// its backend choice through here.
 pub(crate) fn direct_bound(bound: u64) -> Option<u64> {
     (bound > 0 && bound < u64::from(u32::MAX / 2)).then_some(bound)
 }
@@ -1013,9 +1014,12 @@ const LADDER_SHIFT_STEP: u32 = 4;
 const SAMPLED_DEADLINE_POLL: u64 = 1 << 20;
 
 /// Planning estimate of the exact engine's state per address of the
-/// bound: last access (8) + two slots (16) + marker bits (½) + one
-/// histogram counter (8), with the rest headroom (lowering it would flip
-/// resident pre-checks that pass today). Used only to *pre-trip*
+/// bound: last-access slot (4) + two slot-table ids (8) + marker bits and
+/// their Fenwick tree (½) + one histogram counter (8) + one tagged-pass
+/// dirty-chain entry (4), about 25 bytes, with the rest headroom. The
+/// value stays at the 48 it had when the index and slot table were
+/// `u64`: budgets are set against it, and lowering it would let runs
+/// that pre-trip today start instead. Used only to *pre-trip*
 /// [`Budget::max_resident_bytes`] before allocating — a sizing model, not
 /// an rlimit; a test pins the real allocation
 /// ([`StackDistance::resident_bytes`]) below it.
@@ -1177,22 +1181,32 @@ impl Provenance {
 
     /// One-line human summary for CLI/report output, e.g. `degraded
     /// stackdist -> sampled:4 (estimated resident 96000000 B exceeds the
-    /// 64000000 B budget); wrote 3 checkpoint(s)`.
+    /// 64000000 B budget); wrote 3 checkpoint(s)`. A ladder that starts
+    /// at the bit-identical stand-in for the requested engine names both:
+    /// `substituted bit-identical stackdist for stackdist-par, then
+    /// degraded stackdist -> sampled:4 (…)`.
     #[must_use]
     pub fn describe(&self) -> String {
-        let mut line = if let Some(last) = self.steps.last() {
-            let path: Vec<String> = std::iter::once(engine_spec(self.steps[0].from))
+        // The engine that ran first: the ladder's top, or the one used.
+        let first = self.steps.first().map_or(self.used, |s| s.from);
+        let mut parts = Vec::new();
+        if first != self.requested {
+            parts.push(format!(
+                "substituted bit-identical {} for {}",
+                engine_spec(first),
+                engine_spec(self.requested)
+            ));
+        }
+        if let Some(last) = self.steps.last() {
+            let path: Vec<String> = std::iter::once(engine_spec(first))
                 .chain(self.steps.iter().map(|s| engine_spec(s.to)))
                 .collect();
-            format!("degraded {} ({})", path.join(" -> "), last.trip)
-        } else if self.used == self.requested {
+            parts.push(format!("degraded {} ({})", path.join(" -> "), last.trip));
+        }
+        let mut line = if parts.is_empty() {
             format!("as requested ({})", engine_spec(self.used))
         } else {
-            format!(
-                "substituted bit-identical {} for {}",
-                engine_spec(self.used),
-                engine_spec(self.requested)
-            )
+            parts.join(", then ")
         };
         if let Some(pos) = self.resumed_at {
             line.push_str(&format!("; resumed at address {pos}"));
@@ -2670,7 +2684,30 @@ mod tests {
         // serial, which degrades to sampled:4, then sampled:8.
         assert!(prov.steps.len() >= 2, "{prov:?}");
         assert!(matches!(prov.steps[0].trip, BudgetTrip::Resident { .. }));
-        assert!(prov.describe().starts_with("degraded"));
+        // The line names the requested engine, its stand-in, and the walk.
+        let line = prov.describe();
+        assert!(
+            line.starts_with(
+                "substituted bit-identical stackdist for stackdist-par:4, \
+                 then degraded stackdist -> sampled:4 -> sampled:8 ("
+            ),
+            "{line}"
+        );
+        // A degraded request for the engine that ran first names no
+        // substitution.
+        let serial = SweepConfig {
+            engine: Engine::StackDist,
+            ..cfg
+        };
+        let line = capacity_sweep_par(&MatMul, &serial)
+            .unwrap()
+            .provenance
+            .unwrap()
+            .describe();
+        assert!(
+            line.starts_with("degraded stackdist -> sampled:4 -> sampled:8 ("),
+            "{line}"
+        );
     }
 
     #[test]

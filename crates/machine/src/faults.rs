@@ -170,23 +170,6 @@ impl FaultPlan {
         plan
     }
 
-    /// A pseudo-random plan derived entirely from `seed` over a replay of
-    /// `len` addresses: a death somewhere in the trace, sometimes a
-    /// corrupted checkpoint. Same seed, same plan — the deterministic
-    /// entry point for soak tests.
-    #[must_use]
-    pub fn seeded(seed: u64, len: u64) -> FaultPlan {
-        let plan = FaultPlan::none();
-        if len > 0 {
-            plan.die_at
-                .store(splitmix64(seed) % len, Ordering::Relaxed);
-        }
-        if splitmix64(seed ^ 1) & 3 == 0 {
-            plan.corrupt_checkpoints.store(1, Ordering::Relaxed);
-        }
-        plan
-    }
-
     /// Whether any per-address trigger is still armed — the replay
     /// driver's fast-path gate, so an unarmed plan costs nothing per
     /// address.
@@ -342,18 +325,5 @@ mod tests {
             seen.insert(fault);
         }
         assert_eq!(seen.len(), 4, "64 seeds must cover all four fault kinds");
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        for seed in 0..32u64 {
-            let a = FaultPlan::seeded(seed, 1000);
-            let b = FaultPlan::seeded(seed, 1000);
-            assert_eq!(
-                a.die_at.load(Ordering::Relaxed),
-                b.die_at.load(Ordering::Relaxed)
-            );
-            assert!(a.die_at.load(Ordering::Relaxed) < 1000);
-        }
     }
 }

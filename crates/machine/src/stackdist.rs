@@ -44,12 +44,19 @@
 //! map ids back through the table, and the first-touch record keeps the
 //! address it was given.
 //!
-//! Time is kept on a **logical `u64` clock**: the last-access index stores
-//! monotonically increasing logical timestamps, and a physical window
-//! `[origin, clock)` maps them onto the compacted slot space. The clock
-//! never wraps and never resets at compaction — a 10⁹-address (or 10¹⁸-
-//! address) trace cannot overflow the bookkeeping, where the previous
-//! `u32` slot representation silently truncated past `u32::MAX`.
+//! Time runs on a **logical `u64` clock** that never wraps and never
+//! resets at compaction; a physical window `[origin, clock)` maps it onto
+//! the compacted slot space (timestamp `t` lives in physical slot
+//! `t − origin`). The last-access index stores each id's **physical
+//! slot** as a `u32`, 4 bytes per address, and compaction re-bases every
+//! live id's entry as it packs the markers down. The top two `u32` values
+//! are the index's sentinels (`EMPTY`: never seen; `EVICTED`: dropped by
+//! the depth cap), and ids and slots stay below them by construction: an
+//! engine keys at most `2³¹ − 1` ids (a larger address bound, or a
+//! renamer's `2³¹`-th distinct address, panics before anything is
+//! allocated), and the slot space is clamped to whole leaves below the
+//! sentinels. So no entry truncates, and a 10⁹-address (or 10¹⁸-address)
+//! trace cannot overflow the clock.
 //!
 //! **Depth cap.** By inclusion, `misses(M)` depends only on the top `M`
 //! entries of the recency stack, so a caller that queries no capacity
@@ -57,19 +64,22 @@
 //! ([`StackDistance::with_depth`]). A capped engine keeps a live marker
 //! for the `D` most recently touched ids only: pushing the `(D+1)`-th
 //! evicts the oldest, found by a forward scan from a *floor* pointer that
-//! then moves past it. A reuse whose previous touch lies below the floor
-//! is deeper than `D`: it walks no tree and is counted at distance `D + 1`
-//! (a miss at every capacity up to `D`; in the tagged pass it enters the
-//! dirty chain's max gap as `D + 1`). The eviction invariant: every
-//! evicted marker lies below every live one, so evicted bits — left set
-//! until the next compaction, which packs only from the floor up — never
-//! change a live marker's `count_after`, and every answer at `M ≤ D` is
-//! bit-identical to the uncapped engine's. The slot space is
-//! `min(2 · bound, 4 · D)`, so the marker tree and the `D + 2`-counter
-//! histogram stay in L1/L2: `O(|trace| · log min(U, D))` time in
-//! `O(bound + D)` memory. The profile carries `D` and panics on a query
-//! above it; snapshots, the segmented merge and KBCP images refuse capped
-//! engines. `D = u64::MAX` is the uncapped engine, on the same code path.
+//! then moves past it, and stores `EVICTED` into that id's index entry
+//! (the slot's id table names it). A reuse of an `EVICTED` id is deeper
+//! than `D`: it walks no tree and is counted at distance `D + 1` (a miss
+//! at every capacity up to `D`; in the tagged pass it enters the dirty
+//! chain's max gap as `D + 1`). The eviction invariant: every evicted
+//! marker lies below every live one, so evicted bits — left set until the
+//! next compaction, which packs only from the floor up — never change a
+//! live marker's `count_after`, and every answer at `M ≤ D` is
+//! bit-identical to the uncapped engine's. An evicted id's old slot may
+//! be taken by another id after a compaction; its entry reads `EVICTED`,
+//! never that slot. The slot space is `min(2 · bound, 4 · D)`, so the
+//! marker tree and the `D + 2`-counter histogram stay in L1/L2:
+//! `O(|trace| · log min(U, D))` time in `O(bound + D)` memory. The
+//! profile carries `D` and panics on a query above it; snapshots, the
+//! segmented merge and KBCP images refuse capped engines. `D = u64::MAX`
+//! is the uncapped engine, on the same code path.
 //!
 //! Two scaled companions build on this engine for billion-address traces:
 //! [`crate::segmented`] (exact parallel Mattson over time ranges) and
@@ -83,10 +93,32 @@ use balance_core::{HierarchySpec, LevelTraffic, Words};
 
 use crate::fxmap::FxMap;
 
-/// Vacant marker in the last-access index. A logical
-/// timestamp never reaches `u64::MAX`: the clock counts observed touches,
-/// and a trace that long is physically unrepresentable.
-const EMPTY: u64 = u64::MAX;
+/// Last-access entry of an id never seen.
+const EMPTY: u32 = u32::MAX;
+
+/// Last-access entry of an id whose marker the depth cap evicted: its
+/// next reuse is deeper than the cap.
+const EVICTED: u32 = u32::MAX - 1;
+
+/// The most ids an engine keys: a bounded engine's address bound, or a
+/// renamer's distinct addresses. Ids are `u32` slot-table entries, and
+/// the doubled slot space of this many ids, clamped to [`MAX_SLOTS`],
+/// still leaves over `2³¹ − 64` slots, about half, free at every
+/// compaction, so compaction stays amortized `O(1)`.
+const MAX_IDS: usize = (1 << 31) - 1;
+
+/// The largest slot space, in whole 64-slot leaves: every physical slot
+/// lies below it, so a slot never reads as `EVICTED` or `EMPTY`.
+const MAX_SLOTS: usize = EVICTED as usize & !63;
+
+/// A physical slot or an id as a `u32` table entry. Slots lie below
+/// [`MAX_SLOTS`] and ids below [`MAX_IDS`], so the narrowing keeps every
+/// bit and never forms a sentinel.
+#[inline]
+fn entry(value: usize) -> u32 {
+    debug_assert!(value < MAX_SLOTS, "{value} reaches the sentinels");
+    value as u32
+}
 
 /// The live-marker order statistic: one bit per time slot, 64 slots
 /// packed per `u64` leaf, with a Fenwick (binary indexed) tree over the
@@ -291,9 +323,10 @@ impl MarkerTree {
 }
 
 /// No-open-chain marker in the dirty index. A chain's max gap is a stack
-/// distance, bounded by the distinct-address count — it never reaches
-/// `u64::MAX`.
-const CLOSED: u64 = u64::MAX;
+/// distance: at most the distinct-id count, or a capped engine's
+/// `depth + 1` (only reachable once more than `depth` ids are held), so
+/// below [`MAX_IDS`] either way, and never `u32::MAX`.
+const CLOSED: u32 = u32::MAX;
 
 /// The tagged pass's write-back bookkeeping: dirty *chains*. A chain opens
 /// at each write of a line and closes at the line's next write (or stays
@@ -310,7 +343,7 @@ const CLOSED: u64 = u64::MAX;
 struct DirtyState {
     /// `index[id]` = the running max gap of the id's open chain (`CLOSED`
     /// = no open chain), keyed like the engine's last-access index.
-    index: Vec<u64>,
+    index: Vec<u32>,
     /// `wb_hist[d]` = closed chains with max gap exactly `d` (`wb_hist[0]`
     /// unused: a chain closes at a reuse, whose distance is ≥ 1).
     wb_hist: Vec<u64>,
@@ -364,9 +397,9 @@ impl DirtyState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StackDistance {
-    /// `index[id]` = the logical timestamp of the id's latest access
-    /// (`EMPTY` = never seen).
-    index: Vec<u64>,
+    /// `index[id]` = the physical slot of the id's latest access, or
+    /// `EMPTY` (never seen) or `EVICTED` (dropped by the depth cap).
+    index: Vec<u32>,
     /// The renamer of an unbounded address space: address → dense id,
     /// ids taken in first-touch order (`0, 1, 2, …`), so the id-keyed
     /// tables grow by push. `None` when addresses are promised below
@@ -374,12 +407,12 @@ pub struct StackDistance {
     ids: Option<FxMap<5>>,
     markers: MarkerTree,
     /// `slot_addr[s]` = the id whose latest access lives in physical slot
-    /// `s`, for compaction. Meaningful only where
+    /// `s`, for compaction and eviction. Meaningful only where
     /// [`MarkerTree::live_slots`] says so — liveness lives in the marker
-    /// bitmap, not in a sentinel value, so every `u64` is a valid address.
-    /// Empty until the first touch, so a depth cap set on a fresh engine
-    /// shrinks the slot space before any of it is allocated.
-    slot_addr: Vec<u64>,
+    /// bitmap, not in a sentinel value. Empty until the first touch, so a
+    /// depth cap set on a fresh engine shrinks the slot space before any
+    /// of it is allocated.
+    slot_addr: Vec<u32>,
     /// Monotonic logical clock: the timestamp the next touch will take.
     /// Never wraps, never resets at compaction.
     clock: u64,
@@ -391,10 +424,10 @@ pub struct StackDistance {
     /// live marker (`u64::MAX` = uncapped).
     depth: u64,
     /// Logical time below which no marker is live. An evicted marker lies
-    /// below it, so a reuse of that id is deeper than `depth`; its bit
-    /// stays set until the next compaction, counted by the marker tree
-    /// but below every slot a live reuse ranks from. Equal to `origin` on
-    /// an uncapped engine.
+    /// below it (its id's entry reads `EVICTED`); its bit stays set until
+    /// the next compaction, counted by the marker tree but below every
+    /// slot a live reuse ranks from. Equal to `origin` on an uncapped
+    /// engine.
     floor: u64,
     /// Live markers: the ids at or above the floor, at most `depth`.
     held: u64,
@@ -452,22 +485,24 @@ impl StackDistance {
     ///
     /// # Panics
     ///
-    /// Panics if `addr_bound` is zero or its doubled slot space overflows
-    /// `usize` (the table allocation would be unrepresentable), and on
-    /// [`StackDistance::observe`] with an address `≥ addr_bound` (a caller
-    /// contract violation).
+    /// Panics, before allocating anything, if `addr_bound` is zero or
+    /// `2³¹` or more: ids are `u32` table entries that must stay clear of
+    /// the index's sentinels, the same ceiling [`crate::LruCache`]'s
+    /// `u32` direct index has. Also panics on [`StackDistance::observe`]
+    /// with an address `≥ addr_bound` (a caller contract violation).
     #[must_use]
     pub fn with_address_bound(addr_bound: u64) -> Self {
         assert!(addr_bound > 0, "address bound must be positive");
         let bound = usize::try_from(addr_bound)
-            .unwrap_or_else(|_| panic!("address bound overflows usize"));
+            .ok()
+            .filter(|&b| b <= MAX_IDS)
+            .unwrap_or_else(|| {
+                panic!("address bound {addr_bound} exceeds the engine's {MAX_IDS}-id space")
+            });
         // 2× the distinct-address ceiling: at least half the slots are
         // live-free at every compaction, so compaction cost amortizes to
         // O(1) per access.
-        let slots = bound
-            .checked_mul(2)
-            .unwrap_or_else(|| panic!("address bound overflows the slot space"));
-        Self::with_slots(vec![EMPTY; bound], None, slots)
+        Self::with_slots(vec![EMPTY; bound], None, 2 * bound)
     }
 
     /// A renaming engine whose slot space starts at `slots` and doubles
@@ -476,11 +511,11 @@ impl StackDistance {
         Self::with_slots(Vec::new(), Some(FxMap::with_capacity(0)), slots)
     }
 
-    fn with_slots(index: Vec<u64>, ids: Option<FxMap<5>>, slots: usize) -> Self {
+    fn with_slots(index: Vec<u32>, ids: Option<FxMap<5>>, slots: usize) -> Self {
         StackDistance {
             index,
             ids,
-            markers: MarkerTree::new(slots.max(16)),
+            markers: MarkerTree::new(slots.clamp(16, MAX_SLOTS)),
             slot_addr: Vec::new(),
             clock: 0,
             origin: 0,
@@ -499,9 +534,8 @@ impl StackDistance {
     /// An engine whose logical clock starts at `start` instead of 0 —
     /// equivalent to an engine that has already digested `start` touches
     /// of some prefix and been fully compacted. Exercised by the
-    /// regression test that drives the clock across `u32::MAX`, which the
-    /// pre-logical-clock representation (`u32` slot indices in the
-    /// last-access tables) silently truncated.
+    /// regression test that drives the clock across `u32::MAX` while the
+    /// index holds `u32` physical slots.
     #[cfg(test)]
     fn with_clock_start(start: u64) -> Self {
         let mut engine = Self::new();
@@ -567,15 +601,19 @@ impl StackDistance {
     /// dirty-chain or first-touch record.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        let dirty = self.dirty.as_ref().map(|d| [&d.index, &d.wb_hist]);
-        let own = [&self.index, &self.slot_addr, &self.markers.bits, &self.markers.tree, &self.hist];
-        let words: usize = own
+        let dirty = self.dirty.as_ref();
+        let narrow: usize = [&self.index, &self.slot_addr]
             .into_iter()
-            .chain(self.first_touches.as_ref())
-            .chain(dirty.into_iter().flatten())
+            .chain(dirty.map(|d| &d.index))
             .map(Vec::capacity)
             .sum();
-        words as u64 * 8 + self.ids.as_ref().map_or(0, FxMap::resident_bytes)
+        let wide: usize = [&self.markers.bits, &self.markers.tree, &self.hist]
+            .into_iter()
+            .chain(self.first_touches.as_ref())
+            .chain(dirty.map(|d| &d.wb_hist))
+            .map(Vec::capacity)
+            .sum();
+        narrow as u64 * 4 + wide as u64 * 8 + self.ids.as_ref().map_or(0, FxMap::resident_bytes)
     }
 
     /// Serializes the engine's complete observable state into a
@@ -632,7 +670,7 @@ impl StackDistance {
                 .iter()
                 .enumerate()
                 .filter(|&(_, &gap)| gap != CLOSED)
-                .map(|(id, &gap)| (addrs.as_ref().map_or(id as u64, |a| a[id]), gap))
+                .map(|(id, &gap)| (addrs.as_ref().map_or(id as u64, |a| a[id]), u64::from(gap)))
                 .collect();
             pairs.sort_unstable();
             w.u64(state.wb_hist.len() as u64);
@@ -657,8 +695,9 @@ impl StackDistance {
     /// for truncated images, wrong magic or version, checksum mismatches
     /// (any flipped byte), and structurally inconsistent payloads
     /// (duplicate recency-stack entries, addresses beyond the declared
-    /// bound, open dirty chains on lines absent from the recency stack) —
-    /// never a panic or undefined behavior.
+    /// bound, a bound or stack beyond the engine's id space, open dirty
+    /// chains on lines absent from the recency stack or with a gap the
+    /// `u32` ledger cannot hold) — never a panic or undefined behavior.
     pub fn restore(bytes: &[u8]) -> Result<StackDistance, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::{
             ByteReader, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -710,9 +749,12 @@ impl StackDistance {
                 if prev.is_some_and(|p| p >= line) {
                     return Err(corrupt("open dirty chains out of order"));
                 }
-                if max_gap == CLOSED {
-                    return Err(corrupt("open dirty chain carries the closed sentinel"));
-                }
+                // A gap is a stack distance below the id space: one that
+                // reaches the closed sentinel cannot be a ledger entry.
+                let max_gap = u32::try_from(max_gap)
+                    .ok()
+                    .filter(|&gap| gap != CLOSED)
+                    .ok_or_else(|| corrupt("open dirty chain gap does not fit the ledger"))?;
                 prev = Some(line);
                 pairs.push((line, max_gap));
             }
@@ -724,25 +766,18 @@ impl StackDistance {
         if clock < live {
             return Err(corrupt("clock below live-address count"));
         }
+        let within_ids = |count: u64| usize::try_from(count).ok().filter(|&c| c <= MAX_IDS);
+        let cap = within_ids(live).ok_or_else(|| corrupt("live count exceeds the id space"))?;
 
         let mut engine = match tag {
-            0 => {
-                let cap = usize::try_from(live).map_err(|_| corrupt("live count overflows"))?;
-                Self::renamed(
-                    cap.checked_mul(2)
-                        .ok_or_else(|| corrupt("live count overflows"))?,
-                )
-            }
+            0 => Self::renamed(2 * cap),
             1 => {
                 if bound == 0 {
                     return Err(corrupt("zero address bound on the direct backend"));
                 }
-                let b = usize::try_from(bound)
-                    .map_err(|_| corrupt("address bound overflows"))?;
-                let slots = b
-                    .checked_mul(2)
-                    .ok_or_else(|| corrupt("address bound overflows"))?;
-                Self::with_slots(vec![EMPTY; b], None, slots)
+                let b = within_ids(bound)
+                    .ok_or_else(|| corrupt("address bound exceeds the id space"))?;
+                Self::with_slots(vec![EMPTY; b], None, 2 * b)
             }
             _ => return Err(corrupt("unknown backend tag")),
         };
@@ -756,13 +791,13 @@ impl StackDistance {
             if engine.ids.is_none() && addr >= bound {
                 return Err(corrupt("address beyond the declared bound"));
             }
-            let id = engine.id_of(addr);
-            let last = &mut engine.index[id as usize];
+            let id = engine.id_of(addr) as usize;
+            let last = &mut engine.index[id];
             if *last != EMPTY {
                 return Err(corrupt("duplicate address in the recency stack"));
             }
-            *last = origin + i as u64;
-            engine.slot_addr[i] = id;
+            *last = entry(i);
+            engine.slot_addr[i] = entry(id);
         }
         let slots = engine.markers.slots();
         engine.markers.reset_packed(slots, stack.len());
@@ -808,7 +843,7 @@ impl StackDistance {
         match ids.find(addr) {
             Ok(pos) => ids.val_at(pos),
             Err(pos) => {
-                let id = self.index.len();
+                let id = fresh_id(self.index.len());
                 ids.insert_at(pos, addr, id as u64);
                 ids.grow_past_half(id + 1);
                 self.index.push(EMPTY);
@@ -838,8 +873,11 @@ impl StackDistance {
     /// counting itself — or `None` at its first touch. On a capped
     /// engine a reuse whose marker was evicted returns `depth + 1`.
     /// Compacts first when the physical window is full, so the previous
-    /// access's slot and the current clock share one `origin`.
-    #[inline]
+    /// access's slot and the current clock share one `origin`. Always
+    /// inlined: left to the optimizer it stays an out-of-line call per
+    /// access in the sweeps' chunk loops, which cost the `curve` sweeps
+    /// about 7% of their wall time on a 2-core x86-64 host.
+    #[inline(always)]
     fn touch(&mut self, id: u64) -> Option<u64> {
         if self.clock - self.origin == self.markers.slots() as u64 {
             self.compact();
@@ -850,31 +888,33 @@ impl StackDistance {
             .ok()
             .filter(|&a| a < self.index.len())
             .unwrap_or_else(|| panic!("address {id} exceeds the declared address bound"));
-        let prev = std::mem::replace(&mut self.index[a], self.clock);
-        let distance = if prev == EMPTY {
-            self.distinct += 1;
-            self.held += 1;
-            None
-        } else if prev < self.floor {
-            // Evicted: deeper than the cap (never on an uncapped engine,
-            // whose floor is its origin).
-            self.held += 1;
-            Some(self.depth + 1)
-        } else {
-            // In-window by construction: prev − origin < clock − origin ≤ slots.
-            let p = (prev - self.origin) as usize;
-            let d = self.markers.count_after(p) + 1;
-            self.markers.remove(p);
-            Some(d)
+        // In-window by construction: clock − origin < slots.
+        let top = (self.clock - self.origin) as usize;
+        let distance = match std::mem::replace(&mut self.index[a], entry(top)) {
+            EMPTY => {
+                self.distinct += 1;
+                self.held += 1;
+                None
+            }
+            EVICTED => {
+                // Deeper than the cap (never on an uncapped engine).
+                self.held += 1;
+                Some(self.depth + 1)
+            }
+            prev => {
+                let p = prev as usize;
+                let d = self.markers.count_after(p) + 1;
+                self.markers.remove(p);
+                Some(d)
+            }
         };
         if self.held > self.depth {
             self.evict();
         }
-        let top = (self.clock - self.origin) as usize;
         self.markers.add(top);
         match self.slot_addr.get_mut(top) {
-            Some(slot) => *slot = id,
-            None => self.allocate_slots(top, id),
+            Some(slot) => *slot = entry(a),
+            None => self.allocate_slots(top, entry(a)),
         }
         self.clock += 1;
         distance
@@ -883,7 +923,7 @@ impl StackDistance {
     /// Allocates the slot-id table at the first touch, which lands in
     /// slot `top`.
     #[cold]
-    fn allocate_slots(&mut self, top: usize, id: u64) {
+    fn allocate_slots(&mut self, top: usize, id: u32) {
         debug_assert!(self.slot_addr.is_empty(), "the slot table is sized at compaction");
         self.slot_addr = vec![0; self.markers.slots()];
         self.slot_addr[top] = id;
@@ -891,12 +931,15 @@ impl StackDistance {
 
     /// Makes room under the depth cap: evicts the oldest live marker,
     /// found by a forward scan from the floor, by moving the floor past
-    /// it. Its bit stays set until the next compaction; it sits below
-    /// every live marker, so no live marker's `count_after` sees it, and
-    /// the eviction walks no tree.
+    /// it and marking its id `EVICTED`. Its bit stays set until the next
+    /// compaction; it sits below every live marker, so no live marker's
+    /// `count_after` sees it, and the eviction walks no tree. The caller
+    /// has already removed the touched id's own marker, so the scan never
+    /// finds it.
     #[inline]
     fn evict(&mut self) {
         let s = self.markers.next_live((self.floor - self.origin) as usize);
+        self.index[self.slot_addr[s] as usize] = EVICTED;
         self.held -= 1;
         self.floor = self.origin + s as u64 + 1;
     }
@@ -998,7 +1041,7 @@ impl StackDistance {
         // the gap is what the running max records. A first touch (no gap)
         // cannot have an open chain — the line was never seen, let alone
         // written.
-        let open = match ((*chain != CLOSED).then_some(*chain), gap) {
+        let open = match ((*chain != CLOSED).then_some(u64::from(*chain)), gap) {
             (Some(m), Some(d)) => Some(m.max(d)),
             (open, _) => open,
         };
@@ -1011,7 +1054,8 @@ impl StackDistance {
                 None => state.open += 1,
             }
         } else if let Some(m) = open {
-            *chain = m;
+            // A gap is below MAX_IDS (see `CLOSED`).
+            *chain = entry(m as usize);
         }
     }
 
@@ -1054,7 +1098,7 @@ impl StackDistance {
             .live_slots()
             .map(|s| {
                 let id = self.slot_addr[s];
-                addrs.as_ref().map_or(id, |a| a[id as usize])
+                addrs.as_ref().map_or(u64::from(id), |a| a[id as usize])
             })
             .collect()
     }
@@ -1273,13 +1317,14 @@ impl StackDistance {
     }
 
     /// Squeezes the dead slots out of the time axis, preserving recency
-    /// order, re-points the live markers, and re-bases the logical origin
-    /// so the clock itself never resets. Only the live markers, from the
-    /// floor up, are packed: evicted bits are dropped, and every timestamp
-    /// an evicted id left in the index lies below the new origin, which
-    /// becomes the floor. Doubles the slot space when more than half the
-    /// slots are live (only possible on a renaming engine, whose
-    /// distinct-address count is unbounded).
+    /// order, re-points the live markers and their ids' index entries, and
+    /// re-bases the logical origin so the clock itself never resets. Only
+    /// the live markers, from the floor up, are packed: evicted bits are
+    /// dropped (their ids already read `EVICTED`), and the new origin
+    /// becomes the floor. Doubles the slot space, up to [`MAX_SLOTS`],
+    /// when more than half the slots are live (only possible on a
+    /// renaming engine, whose distinct-address count is not fixed up
+    /// front).
     fn compact(&mut self) {
         self.markers.debug_check();
         let slots = self.markers.slots();
@@ -1294,14 +1339,13 @@ impl StackDistance {
         for (dst, src) in self.markers.live_slots_from(floor).enumerate() {
             let id = self.slot_addr[src];
             self.slot_addr[dst] = id;
-            self.index[id as usize] = origin + dst as u64;
+            self.index[id as usize] = entry(dst);
             moved += 1;
         }
         debug_assert_eq!(moved, live, "compaction must keep every live marker");
+        // live ≤ MAX_IDS, so even the clamped space keeps about half free.
         let new_slots = if live * 2 > slots {
-            slots
-                .checked_mul(2)
-                .unwrap_or_else(|| panic!("slot space overflows usize"))
+            (slots * 2).min(MAX_SLOTS)
         } else {
             slots
         };
@@ -1663,6 +1707,21 @@ impl Ratio {
             ops >= ceil
         }
     }
+}
+
+/// The id a renamer gives its next distinct address when it already keys
+/// `count`: `count` itself.
+///
+/// # Panics
+///
+/// When `count` reaches [`MAX_IDS`]: the id would not fit the `u32`
+/// tables clear of their sentinels.
+fn fresh_id(count: usize) -> usize {
+    assert!(
+        count < MAX_IDS,
+        "a renaming engine keys at most {MAX_IDS} distinct addresses"
+    );
+    count
 }
 
 /// The panic of a query above a capped profile's depth.
@@ -2120,22 +2179,19 @@ mod tests {
 
     #[test]
     fn clock_crossing_u32_boundary_keeps_distances_exact() {
-        // Regression test for the u32 slot-index overflow: the last-access
-        // tables used to store `slot as u32`, so once the time counter
-        // passed `u32::MAX` (reachable on a 10⁹-address trace with
-        // compaction-driven slot churn) timestamps silently truncated and
-        // distances corrupted. The logical clock stores full u64
-        // timestamps; starting the clock just below the boundary makes the
-        // truncation observable with a tiny trace: a truncated timestamp
-        // (e.g. 2³² + k stored as k) would be below `origin` and
-        // misresolve its physical slot.
+        // The index holds `u32` physical slots while the clock is a `u64`
+        // that a 10⁹-address trace drives past `u32::MAX`. An entry must
+        // be the slot `t − origin`, never the timestamp `t` narrowed to
+        // 32 bits (`2³² + k` stored as `k` would name the wrong slot).
+        // Starting the clock just below the boundary makes any such
+        // truncation observable with a tiny trace.
         let start = u64::from(u32::MAX) - 8;
         let mut engine = StackDistance::with_clock_start(start);
         let trace: Vec<u64> = (0..400u64).map(|i| (i * 7) % 40).collect();
         engine.observe_trace(trace.iter().copied());
         assert!(engine.clock > u64::from(u32::MAX), "clock must cross 2^32");
-        // Every stored timestamp now exceeds u32::MAX; distances must
-        // still match a plain LRU replay at every capacity.
+        // Every touch so far took a timestamp above u32::MAX; distances
+        // must still match a plain LRU replay at every capacity.
         let p = engine.into_profile();
         for m in 1..=42u64 {
             assert_eq!(p.misses_at(m), replay_misses(&trace, m), "capacity {m}");
@@ -2701,6 +2757,57 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_open_chain_gaps_the_ledger_cannot_hold() {
+        use crate::checkpoint::{fnv1a, CheckpointError};
+        // Open chains on lines 3 and 9, the second reused at gap 2; forge
+        // that gap to values a `u32` ledger entry cannot hold (the closed
+        // sentinel, and past it) and re-checksum. Either would be
+        // truncated or read back as "no open chain".
+        let mut engine = StackDistance::with_address_bound(16);
+        engine.observe_tagged(3, true);
+        engine.observe_tagged(9, true);
+        engine.observe_tagged(3, false);
+        engine.observe_tagged(9, false);
+        let image = engine.snapshot();
+        assert!(StackDistance::restore(&image).is_ok());
+        let payload_len = image.len() - 8;
+        for gap in [u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            let mut bad = image[..payload_len].to_vec();
+            // Tail layout: .. pairs(=2) (3,2) (9,2); the last pair's gap.
+            let gap_at = bad.len() - 8;
+            assert_eq!(bad[gap_at..], 2u64.to_le_bytes(), "test premise: layout");
+            bad[gap_at..].copy_from_slice(&gap.to_le_bytes());
+            let sum = fnv1a(&bad).to_le_bytes();
+            bad.extend_from_slice(&sum);
+            assert!(
+                matches!(
+                    StackDistance::restore(&bad),
+                    Err(CheckpointError::Corrupt { .. })
+                ),
+                "gap {gap} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_bound_beyond_the_id_space() {
+        use crate::checkpoint::{fnv1a, CheckpointError};
+        // Header: magic(4) version(2) tag(1) flags(1) bound(8). A bound of
+        // 2³¹ must be a typed error, not the constructor's panic.
+        let mut engine = StackDistance::with_address_bound(16);
+        engine.observe_trace([1, 2, 1]);
+        let image = engine.snapshot();
+        let mut bad = image[..image.len() - 8].to_vec();
+        bad[8..16].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        let sum = fnv1a(&bad).to_le_bytes();
+        bad.extend_from_slice(&sum);
+        assert!(matches!(
+            StackDistance::restore(&bad),
+            Err(CheckpointError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
     fn restore_rejects_dirty_chains_on_untouched_lines() {
         use crate::checkpoint::{fnv1a, CheckpointError};
         // Open chains on lines 3 and 9; move the second onto line 12,
@@ -2730,6 +2837,100 @@ mod tests {
                 "{what} engine accepted a chain on an untouched line"
             );
         }
+    }
+
+    /// A trace on which a capped engine (depth 3, one 64-slot leaf)
+    /// evicts `x`, compacts at the 64-slot boundary, and hands `x`'s old
+    /// physical slot 0 to another live id; `x` then comes back, twice.
+    /// The 65th access reuses a live id, so the compaction it triggers
+    /// evicts no one and slot 0 is still live when `x` returns. Returns
+    /// the trace and the length of the prefix before `x` returns.
+    fn evict_then_reuse_old_slot(x: u64) -> (Vec<u64>, usize) {
+        let mut trace = vec![x];
+        trace.extend((1..64u64).map(|k| x + k));
+        trace.push(x + 63);
+        let prefix = trace.len();
+        trace.extend([x, x + 61, x, x + 62, x + 1, x]);
+        (trace, prefix)
+    }
+
+    /// The premise of the slot-reuse tests: after the prefix, `x_id`
+    /// reads `EVICTED`, and its old slot 0 is another id's live marker.
+    fn assert_old_slot_taken(engine: &StackDistance, x_id: usize, what: &str) {
+        assert_eq!(engine.index[x_id], EVICTED, "{what}: x must be evicted");
+        let holder = engine.slot_addr[0] as usize;
+        assert_ne!(holder, x_id, "{what}: slot 0 must change hands");
+        assert_eq!(engine.index[holder], 0, "{what}: slot 0 must be live");
+    }
+
+    #[test]
+    fn evicted_id_returning_after_its_slot_is_reused_is_exact() {
+        const DEPTH: u64 = 3;
+        let x = 5;
+        let (trace, prefix) = evict_then_reuse_old_slot(x);
+        let bound = trace.iter().max().map_or(1, |&a| a + 1);
+        let runs = [
+            (StackDistance::new(), 0, "renamed"),
+            (
+                StackDistance::with_address_bound(bound),
+                x as usize,
+                "bounded",
+            ),
+        ];
+        for (engine, x_id, what) in runs {
+            let mut untagged = engine.clone().with_depth(DEPTH);
+            untagged.observe_trace(trace[..prefix].iter().copied());
+            assert_old_slot_taken(&untagged, x_id, what);
+            untagged.observe_trace(trace[prefix..].iter().copied());
+            let profile = untagged.into_profile();
+            for m in 1..=DEPTH {
+                assert_eq!(
+                    profile.misses_at(m),
+                    replay_misses(&trace, m),
+                    "{what} m {m}"
+                );
+            }
+
+            // Tagged: `x` is written before its eviction, so it is
+            // evicted dirty, and every third access writes.
+            let accesses: Vec<balance_core::Access> = trace
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| {
+                    if i % 3 == 0 {
+                        balance_core::Access::write(a)
+                    } else {
+                        balance_core::Access::read(a)
+                    }
+                })
+                .collect();
+            let mut tagged = engine.with_depth(DEPTH);
+            tagged.observe_tagged_trace(accesses[..prefix].iter().copied(), 1);
+            assert_old_slot_taken(&tagged, x_id, what);
+            tagged.observe_tagged_trace(accesses[prefix..].iter().copied(), 1);
+            let traffic = tagged.into_traffic_profile(1);
+            for m in 1..=DEPTH {
+                let mut cache = LruCache::new(m as usize, 1);
+                let (misses, wbs) = cache.run_tagged_trace(accesses.iter().copied());
+                assert_eq!(traffic.read_misses_at(m), misses, "{what} tagged m {m}");
+                assert_eq!(traffic.writebacks_at(m), wbs, "{what} tagged m {m}");
+            }
+        }
+    }
+
+    /// The check precedes the 8 GiB index it refuses: an allocation
+    /// failure would abort the process instead of panicking.
+    #[test]
+    #[should_panic(expected = "exceeds the engine's")]
+    fn address_bound_at_two_to_the_31_is_refused() {
+        let _ = StackDistance::with_address_bound(1 << 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "keys at most")]
+    fn renamer_refuses_the_id_past_the_id_space() {
+        assert_eq!(fresh_id(MAX_IDS - 1), MAX_IDS - 1);
+        let _ = fresh_id(MAX_IDS);
     }
 
     #[test]
