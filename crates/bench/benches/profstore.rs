@@ -18,6 +18,12 @@
 //!   `answer_into` call, one verb at a time, and `balance_over_io`, the
 //!   within-run ratio of the `balance` figure to the `io` one (the exact
 //!   inverse against a single curve read).
+//! * `serve_stream_ns.{repeated,distinct}` — ns per line through
+//!   `cmd_serve`, the whole `balance serve` stream (batch file read,
+//!   answered, written to `io::sink()`): a batch drawn with repeats in
+//!   the serve mix, and a batch of all-distinct `io` lines.
+//!   `serve_stream_distinct_over_repeated` is their within-run ratio; an
+//!   answer cache on the stream would show as a ratio well above 1.
 //! * `store_build_registry` — median wall-clock (ns) of precomputing
 //!   the full 11-kernel registry × {16, 32} grid into a fresh store
 //!   (every image encoded, checksummed, and atomically published).
@@ -25,7 +31,8 @@
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use balance_bench::storecli::ServeSession;
+use balance_bench::cli::Flags;
+use balance_bench::storecli::{cmd_serve, ServeSession};
 use balance_kernels::prelude::*;
 use balance_machine::{FaultPlan, ProfileStore};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -198,6 +205,34 @@ fn report_headlines() {
     let ratio = ns[2] / ns[0];
     println!("bench: balance_over_io                         {ratio:.3} (balance ns / io ns)");
     append_json(&format!("\"balance_over_io\": {ratio:.3}\n"));
+
+    // The binary's whole stream over the same warm store: a repeated-draw
+    // batch, then one whose io lines are all distinct.
+    let lines = 100_000;
+    let distinct: Vec<String> = (0..lines)
+        .map(|i| format!("io {} {}", ["matmul 32", "fft 32", "sort 32"][i % 3], 16 + i))
+        .collect();
+    let mut ns = Vec::new();
+    for (tag, batch) in [("repeated", mixed_batch(lines)), ("distinct", distinct)] {
+        let path = dir.with_extension(format!("{tag}.batch"));
+        std::fs::write(&path, batch.join("\n") + "\n").expect("batch file writes");
+        let args = ["--store", &dir.to_string_lossy(), "--batch", &path.to_string_lossy()]
+            .map(String::from);
+        let flags = Flags::parse(&args).expect("serve flags parse");
+        let elapsed = median_of(if smoke { 5 } else { 9 }, || {
+            cmd_serve(&flags, &mut std::io::sink()).expect("serve runs")
+        });
+        let t = elapsed.as_nanos() as f64 / lines as f64;
+        println!("bench: serve_stream_ns.{tag:<29} {t:.1} ns/line");
+        append_json(&format!("\"serve_stream_ns.{tag}\": {t:.1}\n"));
+        ns.push(t);
+        let _ = std::fs::remove_file(&path);
+    }
+    let ratio = ns[1] / ns[0];
+    println!(
+        "bench: serve_stream_distinct_over_repeated     {ratio:.3} (distinct ns / repeated ns)"
+    );
+    append_json(&format!("\"serve_stream_distinct_over_repeated\": {ratio:.3}\n"));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Build: the full registry x grid into a fresh store each run.

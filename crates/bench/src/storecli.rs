@@ -20,10 +20,11 @@
 //!   sampled artifacts instead of silently degrading. The batch streams
 //!   from a buffered reader to a buffered writer, one line at a time, so
 //!   memory holds the session's profiles, not the batch or its answers.
-//!   Answers are flushed whenever the read buffer holds no complete line,
-//!   before the read that would wait for more: a file batch flushes once
-//!   per 64 KiB refill, and on a stdin pipe each answer appears as soon
-//!   as its query line arrives (a pipe REPL).
+//!   A line the read buffer holds whole is answered in place, without a
+//!   copy. Answers are flushed whenever the read buffer holds no complete
+//!   line, before the read that would wait for more: a file batch
+//!   flushes once per 64 KiB refill, and on a stdin pipe each answer
+//!   appears as soon as its query line arrives (a pipe REPL).
 //!
 //! An answer is pushed into the reused buffer piece by piece, with no
 //! `write!`: integers and the exact `{:.4}` / `{:.3e}` float formatters
@@ -529,11 +530,12 @@ const SERVE_BUF: usize = 64 * 1024;
 ///
 /// The batch streams: lines are read through a buffer and answered one at
 /// a time, so memory holds the session's profiles, not the batch or its
-/// answers. Answers are flushed whenever the read buffer holds no complete
-/// line, before the next blocking read. A file batch therefore flushes once
-/// per buffer refill, and `balance serve --store s` works as a pipe REPL:
-/// each answer appears as soon as its query line arrives. A reader that
-/// goes away (`| head -1`) ends the run quietly.
+/// answers. A line the read buffer holds whole is answered in place,
+/// without a copy. Answers are flushed whenever the read buffer holds no
+/// complete line, before the next blocking read. A file batch therefore
+/// flushes once per buffer refill, and `balance serve --store s` works as
+/// a pipe REPL: each answer appears as soon as its query line arrives. A
+/// reader that goes away (`| head -1`) ends the run quietly.
 ///
 /// # Errors
 ///
@@ -563,24 +565,36 @@ pub fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), String> {
     let mut out = BufWriter::with_capacity(SERVE_BUF, out);
     let mut line = Vec::new();
     let mut answer = String::new();
+    let mut serve = |line: &[u8], out: &mut BufWriter<_>| {
+        answer.clear();
+        if !session.answer_bytes_into(line, &mut answer) {
+            return Ok(());
+        }
+        answer.push('\n');
+        out.write_all(answer.as_bytes())
+    };
     let written = loop {
-        if !input.buffer().contains(&b'\n') {
+        // A line the read buffer holds whole is answered in place; only
+        // one that straddles a refill is copied out by `read_until`.
+        let buffered = input.buffer();
+        let served = if let Some(end) = buffered.iter().position(|&b| b == b'\n') {
+            let served = serve(strip_line_end(&buffered[..=end]), &mut out);
+            input.consume(end + 1);
+            served
+        } else {
             if let Err(e) = out.flush() {
                 break Err(e);
             }
-        }
-        line.clear();
-        match input.read_until(b'\n', &mut line) {
-            Ok(0) => break out.flush(),
-            Ok(_) => {}
-            Err(e) => return Err(format!("{source}: {e}")),
-        }
-        answer.clear();
-        if session.answer_bytes_into(strip_line_end(&line), &mut answer) {
-            answer.push('\n');
-            if let Err(e) = out.write_all(answer.as_bytes()) {
-                break Err(e);
+            line.clear();
+            match input.read_until(b'\n', &mut line) {
+                Ok(0) => break out.flush(),
+                Ok(_) => {}
+                Err(e) => return Err(format!("{source}: {e}")),
             }
+            serve(strip_line_end(&line), &mut out)
+        };
+        if let Err(e) = served {
+            break Err(e);
         }
     };
     crate::cli::output_written(written)
@@ -844,6 +858,53 @@ io matmul 16 4096 = 768 words  [hit [analytic, exact]]
 
         let streamed = serve_file(&dirs[2], MIXED_BATCH.as_bytes());
         assert_eq!(String::from_utf8(streamed).unwrap(), MIXED_ANSWERS);
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+
+        // Repeated lines, line ends, blanks, comments, failing and
+        // non-UTF-8 lines, each repeated.
+        let thrice = format!("{MIXED_BATCH}\n").repeat(3);
+        streams_as_answered_per_line("thrice", thrice.as_bytes());
+        streams_as_answered_per_line(
+            "endings",
+            b"io matmul 16 64\r\nio matmul 16 64\nio matmul 16 64\r\nio matmul 16 64",
+        );
+        streams_as_answered_per_line("blanks", b"\n# c\n\n# c\n  \r\n  \n# c\nio matmul 8 27\n\n");
+        streams_as_answered_per_line(
+            "failing",
+            b"balance matmul 64 nan\nio nonsense 8 8\nbalance matmul 64 nan\n\
+              io nonsense 8 8\nio fft 100 16\nio fft 100 16\nbalance matmul 64 nan\n",
+        );
+        streams_as_answered_per_line("utf8", b"io mat\xffmul 8 27\nio mat\xffmul 8 27\nio matmul 8 27\n");
+        // Distinct lines, each asked twice, across several refills of the
+        // read buffer: lines that straddle a refill are copied out.
+        let distinct: String = (0..20_000).map(|m| format!("io matmul 16 {m}\n")).collect();
+        streams_as_answered_per_line("refills", distinct.repeat(2).as_bytes());
+    }
+
+    /// Asserts that `balance serve` over `batch` prints what `answer`
+    /// gives line by line on a fresh session, each over a fresh
+    /// [`matmul_store`]. A line that is not UTF-8 answers its diagnostic.
+    fn streams_as_answered_per_line(tag: &str, batch: &[u8]) {
+        let dirs = [tmp_dir(&format!("{tag}-lines")), tmp_dir(&format!("{tag}-stream"))];
+        let store = matmul_store(&dirs[0]);
+        let mut session = ServeSession::new(&store, TrafficModel::WORD, None, 1.0e9);
+        let mut expected = String::new();
+        for line in batch.split(|&b| b == b'\n') {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            let answer = match std::str::from_utf8(line) {
+                Ok(line) => session.answer(line),
+                Err(_) => Some(format!("! {}: not UTF-8", String::from_utf8_lossy(line))),
+            };
+            if let Some(answer) = answer {
+                expected.push_str(&answer);
+                expected.push('\n');
+            }
+        }
+        matmul_store(&dirs[1]);
+        let streamed = String::from_utf8(serve_file(&dirs[1], batch)).unwrap();
+        assert!(streamed == expected, "{tag}: streamed answers differ");
         for dir in &dirs {
             let _ = std::fs::remove_dir_all(dir);
         }

@@ -66,24 +66,29 @@ fn serve_on_a_stdin_pipe_answers_each_query_as_it_arrives() {
     let mut child = serve(&dir.join("store"), None);
     let mut stdin = child.stdin.take().unwrap();
     let stdout = child.stdout.take().unwrap();
-    stdin.write_all(b"io matmul 8 27\n").unwrap();
-    stdin.flush().unwrap();
-    // stdin stays open: the answer must arrive before end of input.
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let mut line = String::new();
-        let read = BufReader::new(stdout).read_line(&mut line).map(|_| line);
-        let _ = tx.send(read);
-    });
-    let answer = match rx.recv_timeout(Duration::from_secs(30)) {
-        Ok(read) => read.unwrap(),
-        Err(_) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("no answer while stdin was open");
+        for line in BufReader::new(stdout).lines() {
+            if tx.send(line).is_err() {
+                break;
+            }
         }
-    };
-    assert!(answer.starts_with("io matmul 8 27 = "), "{answer}");
+    });
+    // Each query arrives alone, after the answer to the one before.
+    for _ in 0..2 {
+        stdin.write_all(b"io matmul 8 27\n").unwrap();
+        stdin.flush().unwrap();
+        // stdin stays open: the answer must arrive before end of input.
+        let answer = match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(read) => read.unwrap(),
+            Err(_) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("no answer while stdin was open");
+            }
+        };
+        assert!(answer.starts_with("io matmul 8 27 = "), "{answer}");
+    }
     drop(stdin);
     let err = stderr_of(&mut child);
     let status = child.wait().unwrap();
