@@ -6,8 +6,7 @@ use balance_kernels::{workload, Verify};
 use balance_parallel::systolic::givens::triangularize;
 use balance_parallel::systolic::matmul::systolic_matmul;
 use balance_parallel::{
-    linear_array_series, mesh_series, parallel_sweep_par, warp_cell, ParMatMul,
-    ParallelSweepConfig, Topology,
+    analytic_series, parallel_sweep, ParMatMul, ParallelSweepConfig, Topology, TopologyKind,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -38,10 +37,12 @@ fn bench_scaling_series(c: &mut Criterion) {
     let ps: Vec<u64> = (1..=64).collect();
     let law = GrowthLaw::Polynomial { degree: 2.0 };
     c.bench_function("E8_linear_array_series_64", |b| {
-        b.iter(|| linear_array_series(warp_cell(), law, Words::new(4096), &ps).expect("series"));
+        b.iter(|| {
+            analytic_series(TopologyKind::Linear, law, Words::new(4096), &ps).expect("series")
+        });
     });
     c.bench_function("E9_mesh_series_64", |b| {
-        b.iter(|| mesh_series(warp_cell(), law, Words::new(4096), &ps).expect("series"));
+        b.iter(|| analytic_series(TopologyKind::Mesh, law, Words::new(4096), &ps).expect("series"));
     });
 }
 
@@ -64,7 +65,7 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel_sweep_matmul_n48");
     g.sample_size(10);
     g.bench_function("linear_1_2_4", |b| {
-        b.iter(|| parallel_sweep_par(&ParMatMul, &cfg).expect("verified"));
+        b.iter(|| parallel_sweep(&ParMatMul, &cfg).expect("verified"));
     });
     g.finish();
 }

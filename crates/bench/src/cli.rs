@@ -11,8 +11,7 @@ use balance_core::prelude::*;
 use balance_kernels::prelude::*;
 use balance_machine::{CheckpointPolicy, DEFAULT_CHECKPOINT_EVERY};
 use balance_parallel::{
-    parallel_sweep_par, ParGrid2d, ParMatMul, ParTranspose, ParallelKernel, ParallelSweepConfig,
-    Topology, TopologyKind,
+    parallel_kernels, parallel_sweep, ParallelKernel, ParallelSweepConfig, Topology, TopologyKind,
 };
 use balance_roofline::{HierarchicalRoofline, ParallelRoofline};
 
@@ -221,19 +220,21 @@ fn engine_flag(
     }
 }
 
-/// The kernel registry for the sweep commands, keyed by CLI name.
+/// The canonical kernel name (`Kernel::name`) a CLI kernel name stands
+/// for: the short aliases `lu`, `grid2` and `grid3`, else the name itself.
+fn canonical_kernel(name: &str) -> &str {
+    match name {
+        "lu" => "triangularization",
+        "grid2" => "grid2d",
+        "grid3" => "grid3d",
+        other => other,
+    }
+}
+
+/// A kernel of the one registry ([`registry_kernel`]) by its canonical
+/// name or an alias.
 fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
-    Ok(match name {
-        "matmul" => Box::new(MatMul),
-        "lu" | "triangularization" => Box::new(Triangularization),
-        "grid2" => Box::new(GridRelaxation::new(2)),
-        "grid3" => Box::new(GridRelaxation::new(3)),
-        "fft" => Box::new(Fft),
-        "sort" => Box::new(ExternalSort),
-        "matvec" => Box::new(MatVec),
-        "trisolve" => Box::new(TriSolve),
-        other => return Err(format!("unknown kernel '{other}'")),
-    })
+    registry_kernel(canonical_kernel(name)).ok_or_else(|| format!("unknown kernel '{name}'"))
 }
 
 /// Parses the optional resource-budget flags (`--max-wall-secs`,
@@ -592,8 +593,9 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
 
     // Optional measured section: the kernel's canonical trace through
     // this ladder.
-    if let Some(kname) = flags.str_opt("kernel") {
-        let kernel = kernel_by_name(kname)?;
+    if let Some(flag) = flags.str_opt("kernel") {
+        let kernel = kernel_by_name(flag)?;
+        let kname = kernel.name();
         let n = match flags.str_opt("n") {
             Some(_) => flags.u64("n")? as usize,
             Option::None => 32,
@@ -662,7 +664,7 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
 }
 
 /// `balance parallel --pes P --topology linear|mesh [--kernel
-/// matmul|transpose|grid2] [--n <size>] [--seed <u64>]`: run a kernel on a
+/// matmul|transpose|grid2d] [--n <size>] [--seed <u64>]`: run a kernel on a
 /// measured P-PE machine across a per-PE memory sweep.
 ///
 /// The cell is the §5 Warp PE (10 Mop/s, 20 Mword/s, 64 K words); for a
@@ -697,12 +699,13 @@ pub fn cmd_parallel(flags: &Flags) -> Result<String, String> {
         }
     }
     .map_err(|e| e.to_string())?;
-    let kernel: Box<dyn ParallelKernel> = match flags.str_opt("kernel").unwrap_or("matmul") {
-        "matmul" => Box::new(ParMatMul),
-        "transpose" => Box::new(ParTranspose),
-        "grid2" | "grid2d" => Box::new(ParGrid2d),
-        other => return Err(format!("unknown parallel kernel '{other}' (try: matmul, transpose, grid2)")),
-    };
+    let name = flags.str_opt("kernel").unwrap_or("matmul");
+    let kernel: Box<dyn ParallelKernel> = parallel_kernels()
+        .into_iter()
+        .find(|k| k.name() == canonical_kernel(name))
+        .ok_or_else(|| {
+            format!("unknown parallel kernel '{name}' (try: matmul, transpose, grid2d)")
+        })?;
     let default_n = if kernel.name() == "grid2d" { 8 } else { 32 };
     let n = match flags.str_opt("n") {
         Some(_) => flags.u64("n")? as usize,
@@ -728,7 +731,7 @@ pub fn cmd_parallel(flags: &Flags) -> Result<String, String> {
         (5..=12).map(|k| 1usize << k).collect(),
         seed,
     );
-    let points = parallel_sweep_par(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?;
+    let points = parallel_sweep(kernel.as_ref(), &cfg).map_err(|e| e.to_string())?;
     if points.is_empty() {
         return Err(format!(
             "no per-PE memory in the sweep supports {} at n = {n}",
@@ -792,7 +795,7 @@ pub fn cmd_warp() -> String {
 /// # Errors
 ///
 /// User-facing messages for unknown commands, bad flags, or a failed
-/// write (see [`output_written`]).
+/// write (see `output_written`).
 pub fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(usage());
@@ -842,7 +845,10 @@ USAGE:
       Characterize a PE: machine balance + balanced memory per computation.
   balance rebalance --law <matmul|lu|grid1..grid4|fft|sort|matvec> --alpha <f> --m <words>
       The paper's question: how much memory restores balance after C/IO grows α-fold?
-  balance sweep --kernel <matmul|lu|grid2|grid3|fft|sort|matvec|trisolve> --n <size> [--seed <u64>] [--verify full|freivalds|none] [--engine replay|stackdist|stackdist-par[:K]|sampled[:S]|analytic|auto]
+  balance sweep --kernel <name> --n <size> [--seed <u64>] [--verify full|freivalds|none] [--engine replay|stackdist|stackdist-par[:K]|sampled[:S]|analytic|auto]
+      Kernels: matmul, triangularization (alias lu), grid2d (alias grid2),
+      grid3d (alias grid3), fft, sort, matvec, trisolve, convolution,
+      transpose, multi_matvec — the names store build and serve take.
       Run the instrumented kernel across a memory sweep (parallel across
       cores; default verification: full up to n=64, anchored Freivalds
       beyond) and fit the law. With --engine, measure the cache-model
@@ -877,7 +883,7 @@ USAGE:
       --engine (default auto: the closed form where the kernel has one,
       one stack-distance replay for 4+ levels, the actual chained ladder
       for shallower or mixed-line ladders).
-  balance parallel --pes <P> --topology <linear|mesh> [--kernel matmul|transpose|grid2] [--n <size>] [--seed <u64>]
+  balance parallel --pes <P> --topology <linear|mesh> [--kernel matmul|transpose|grid2d] [--n <size>] [--seed <u64>]
       Run a kernel on a measured P-PE machine (Warp cells) across a per-PE
       memory sweep: external vs communication traffic, the balance verdict
       against the aggregate machine, and the binding parallel-roofline
@@ -1325,6 +1331,62 @@ mod tests {
         assert!(out.contains("transpose on mesh(2x2)"), "{out}");
         // Transpose never communicates: r_comm renders as "-".
         assert!(out.contains(" - "), "{out}");
+    }
+
+    #[test]
+    fn kernel_aliases_print_what_their_canonical_names_print() {
+        // sweep and hierarchy read the one kernel registry, where lu,
+        // grid2 and grid3 are spellings of the canonical names.
+        for (alias, canonical) in [
+            ("lu", "triangularization"),
+            ("grid2", "grid2d"),
+            ("grid3", "grid3d"),
+        ] {
+            let sweep = |k: &str| {
+                cmd_sweep(&Flags::parse(&args(&["--kernel", k, "--n", "8"])).unwrap()).unwrap()
+            };
+            assert_eq!(sweep(alias), sweep(canonical), "sweep {alias}");
+            let hierarchy = |k: &str| {
+                cmd_hierarchy(
+                    &Flags::parse(&args(&[
+                        "--levels", "64:1e8,1024:1e7", "--kernel", k, "--n", "8",
+                    ]))
+                    .unwrap(),
+                )
+                .unwrap()
+            };
+            assert_eq!(hierarchy(alias), hierarchy(canonical), "hierarchy {alias}");
+            assert!(hierarchy(alias).contains(&format!("measured ({canonical} canonical")));
+        }
+        // The parallel registry takes the grid2 alias too.
+        let parallel = |k: &str| {
+            cmd_parallel(
+                &Flags::parse(&args(&[
+                    "--pes", "2", "--topology", "linear", "--kernel", k, "--n", "4",
+                ]))
+                .unwrap(),
+            )
+            .unwrap()
+        };
+        assert_eq!(parallel("grid2"), parallel("grid2d"));
+        assert!(parallel("grid2").starts_with("grid2d on linear(2)"));
+    }
+
+    #[test]
+    fn sweep_runs_every_registry_kernel() {
+        // The extension kernels the store builds and serves sweep too.
+        let f = Flags::parse(&args(&[
+            "--kernel", "transpose", "--n", "8", "--engine", "stackdist",
+        ]))
+        .unwrap();
+        let out = cmd_sweep(&f).unwrap();
+        assert!(out.contains("StackDist engine"), "{out}");
+        for kernel in registry() {
+            let f = Flags::parse(&args(&["--kernel", kernel.name(), "--n", "8"])).unwrap();
+            assert!(cmd_sweep(&f).is_ok(), "{}", kernel.name());
+        }
+        let f = Flags::parse(&args(&["--kernel", "nope", "--n", "8"])).unwrap();
+        assert_eq!(cmd_sweep(&f).unwrap_err(), "unknown kernel 'nope'");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use balance_kernels::{reference, workload};
 use balance_parallel::systolic::givens::triangularize;
 use balance_parallel::systolic::matmul::systolic_matmul;
 use balance_parallel::warp::{case_study, default_computations};
-use balance_parallel::{growth_exponent, linear_array_series, mesh_series, warp_cell};
+use balance_parallel::{analytic_series, growth_exponent, TopologyKind};
 
 use crate::report::{Finding, Report};
 
@@ -29,10 +29,10 @@ fn series_table(series: &[balance_parallel::ScalingPoint]) -> String {
 /// E8 — §4.1 / Fig. 3: linear arrays need per-PE memory ∝ p.
 #[must_use]
 pub fn e8_linear_array() -> Report {
-    let cell = warp_cell();
     let m_old = Words::new(4096);
     let law = GrowthLaw::Polynomial { degree: 2.0 };
-    let series = linear_array_series(cell, law, m_old, &PS[1..]).unwrap_or_else(|e| panic!("law is possible: {e}"));
+    let series = analytic_series(TopologyKind::Linear, law, m_old, &PS[1..])
+        .unwrap_or_else(|e| panic!("law is possible: {e}"));
     let slope = growth_exponent(&series);
 
     let mut findings = vec![Finding::new(
@@ -61,13 +61,22 @@ pub fn e8_linear_array() -> Report {
 /// systolic algorithms realize the decomposition with O(1) memory per cell.
 #[must_use]
 pub fn e9_mesh() -> Report {
-    let cell = warp_cell();
     let m_old = Words::new(4096);
 
-    let matmul_series = mesh_series(cell, GrowthLaw::Polynomial { degree: 2.0 }, m_old, &PS[1..])
-        .unwrap_or_else(|e| panic!("law is possible: {e}"));
-    let grid3_series = mesh_series(cell, GrowthLaw::Polynomial { degree: 3.0 }, m_old, &PS[1..])
-        .unwrap_or_else(|e| panic!("law is possible: {e}"));
+    let matmul_series = analytic_series(
+        TopologyKind::Mesh,
+        GrowthLaw::Polynomial { degree: 2.0 },
+        m_old,
+        &PS[1..],
+    )
+    .unwrap_or_else(|e| panic!("law is possible: {e}"));
+    let grid3_series = analytic_series(
+        TopologyKind::Mesh,
+        GrowthLaw::Polynomial { degree: 3.0 },
+        m_old,
+        &PS[1..],
+    )
+    .unwrap_or_else(|e| panic!("law is possible: {e}"));
 
     let slope2 = growth_exponent(&matmul_series);
     let slope3 = growth_exponent(&grid3_series);

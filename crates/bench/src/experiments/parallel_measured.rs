@@ -24,7 +24,7 @@
 use balance_core::{GrowthLaw, OpsPerSec, PeSpec, Words, WordsPerSec};
 use balance_kernels::Verify;
 use balance_parallel::{
-    growth_exponent, linear_array_series, measured_balance_memory, measured_growth_law,
+    analytic_series, growth_exponent, measured_balance_memory, measured_growth_law,
     measured_series, MeasuredBalanceConfig, ParGrid2d, ParMatMul, ParTranspose, ParallelKernel,
     ParallelSweepConfig, Topology, TopologyKind,
 };
@@ -134,15 +134,20 @@ pub fn e21_parallel() -> Report {
         format!("{law}"),
         law == GrowthLaw::Polynomial { degree: 2.0 },
     ));
-    let analytic = linear_array_series(
-        cell(),
+    let analytic = analytic_series(
+        TopologyKind::Linear,
         GrowthLaw::Polynomial { degree: 2.0 },
         Words::new(m1),
         &[2, 4, 8, 16, 32],
     )
     .unwrap_or_else(|e| panic!("law is possible: {e}"));
-    let from_measured_law =
-        linear_array_series(cell(), law, Words::new(m1), &[2, 4, 8, 16, 32]).unwrap_or_else(|e| panic!("fit law: {e}"));
+    let from_measured_law = analytic_series(
+        TopologyKind::Linear,
+        law,
+        Words::new(m1),
+        &[2, 4, 8, 16, 32],
+    )
+    .unwrap_or_else(|e| panic!("fit law: {e}"));
     findings.push(Finding::new(
         "measured-law series == analytic series (div_ceil exact)",
         "identical at every p",

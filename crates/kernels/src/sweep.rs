@@ -1304,7 +1304,7 @@ fn run_profile_attempt(
 /// for the whole curve, so a requested replay enters the ladder as its
 /// bit-identical one-pass engine.
 ///
-/// The ladder (see [`next_rung`] in this module): serial one-pass →
+/// The ladder (see `next_rung` in this module): serial one-pass →
 /// SHARDS sampling at rate `2^-4`, then coarser powers down to `2^-32`.
 /// The serial one-pass engine is the one resumable exact engine: under a
 /// budget or checkpoint policy a `stackdist-par` request runs it (the

@@ -31,7 +31,7 @@
 //! the consumed prefix, observe the rest under an optional
 //! [`CheckpointPolicy`] (a [`write_atomic`] publish every N addresses),
 //! an optional wall-clock deadline, and a deterministic
-//! [`FaultPlan`](crate::faults::FaultPlan). It is the one resumable
+//! [`FaultPlan`]. It is the one resumable
 //! exact engine: the exact rung of every budgeted or checkpointed sweep
 //! is this serial replay, with one image per run.
 
@@ -416,7 +416,7 @@ pub struct ReplayControl<'a> {
     /// Deterministic fault schedule (use a `FaultPlan::none()` for real
     /// runs).
     pub faults: &'a FaultPlan,
-    /// Hard wall-clock deadline, polled every [`DEADLINE_POLL`] addresses.
+    /// Hard wall-clock deadline, polled every `DEADLINE_POLL` addresses.
     pub deadline: Option<Instant>,
 }
 

@@ -73,7 +73,7 @@ const IMAGE_SUFFIX: &str = ".kbcp";
 const QUARANTINE: &str = "quarantine";
 
 /// Why a profile image was rejected. Mirrors
-/// [`CheckpointError`][crate::checkpoint::CheckpointError] variant for
+/// [`CheckpointError`] variant for
 /// variant (the two formats share their integrity discipline) but reports
 /// in `KBCP` terms.
 #[derive(Debug)]

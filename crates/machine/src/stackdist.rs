@@ -1015,7 +1015,7 @@ impl StackDistance {
     /// tagged replay must route **every** access through this method (an
     /// interleaved [`StackDistance::observe`] would skip a chain's gap
     /// update); address-to-line mapping is the caller's — see
-    /// [`traffic_profile_of`] for the word-address entry point.
+    /// [`StackDistance::traffic_profile_of`] for the word-address entry point.
     ///
     /// With all-read tags this is observationally identical to
     /// [`StackDistance::observe`]: the dirty ledger stays empty and

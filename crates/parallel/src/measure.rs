@@ -1,18 +1,19 @@
-//! Measured §4: sweep executors and the memory-at-balance machinery.
+//! Measured §4: the sweep executor and the memory-at-balance machinery.
 //!
-//! `balance-kernels`' sweeps vary one PE's memory; the executors here vary
-//! the **machine** — fixed total problem size, swept over arrangements
-//! (`p` PEs on a line, `side × side` meshes) and per-PE memories — and
-//! read the aggregate external intensity off each measured
-//! [`ParallelRun`]. Three consumers build on them:
+//! `balance-kernels`' sweeps vary one PE's memory; [`parallel_sweep`]
+//! varies the **machine** — fixed total problem size, swept over
+//! arrangements (`p` PEs on a line, `side × side` meshes) and per-PE
+//! memories — and reads the aggregate external intensity off each
+//! measured [`ParallelRun`]. Three consumers build on it:
 //!
 //! * [`measured_balance_memory`] inverts a measurement: the smallest
 //!   per-PE memory at which the machine's measured intensity reaches its
-//!   aggregate machine balance — Kung's balanced memory, found by running
-//!   the actual kernel instead of evaluating a closed form;
+//!   aggregate machine balance — Kung's balanced memory, found from the
+//!   actual kernel instead of a closed form (the exact inverse of its
+//!   external-I/O profile where it has one, else by running it);
 //! * [`measured_series`] walks it across array sizes, producing the
-//!   measured counterpart of [`crate::scaling::linear_array_series`] /
-//!   [`crate::scaling::mesh_series`] (Figures 3 and 4, by measurement);
+//!   measured counterpart of [`crate::scaling::analytic_series`]
+//!   (Figures 3 and 4, by measurement);
 //! * [`measured_growth_law`] fits the paper's law shapes to the measured
 //!   `(total memory, intensity)` cloud — across *all* swept arrangements,
 //!   since a well-decomposed machine's intensity depends only on its
@@ -117,7 +118,9 @@ fn run_point(
 }
 
 /// Runs `kernel` at every (topology, per-PE memory) point of the sweep,
-/// one after another on the calling thread.
+/// fanned out over scoped worker threads (the `balance-kernels`
+/// [`par_map`] executor), and returns the points in sweep order
+/// (topology-major).
 ///
 /// # Errors
 ///
@@ -125,23 +128,6 @@ fn run_point(
 /// verification failures — a sweep with wrong numerics must not produce
 /// data).
 pub fn parallel_sweep(
-    kernel: &dyn ParallelKernel,
-    cfg: &ParallelSweepConfig,
-) -> Result<Vec<ParallelPoint>, KernelError> {
-    grid(kernel, cfg)
-        .into_iter()
-        .map(|(t, m)| run_point(kernel, cfg, t, m))
-        .collect()
-}
-
-/// [`parallel_sweep`] fanned out over scoped worker threads (the
-/// `balance-kernels` [`par_map`] executor) — bit-identical points, first
-/// error in sweep order.
-///
-/// # Errors
-///
-/// As [`parallel_sweep`].
-pub fn parallel_sweep_par(
     kernel: &dyn ParallelKernel,
     cfg: &ParallelSweepConfig,
 ) -> Result<Vec<ParallelPoint>, KernelError> {
@@ -173,23 +159,29 @@ pub struct MeasuredBalanceConfig {
 /// `None` when even `cfg.m_max` falls short (the measured form of the
 /// paper's "impossible" verdict).
 ///
-/// Two probe engines, dispatched on the kernel:
+/// Two answers, dispatched on the kernel:
 ///
-/// * kernels exposing a one-replay
+/// * kernels exposing an
 ///   [`ExternalIoProfile`](crate::pkernels::ExternalIoProfile) (external
 ///   I/O a pure LRU function of pooled memory — e.g. the one-touch
-///   transpose) are searched over **histogram reads**: one trace replay
-///   total, then O(1) per probe. Only **exact** profiles qualify
+///   transpose) are answered by the profile's **exact inverse**: the
+///   smallest pooled memory `M` whose intensity reaches the target,
+///   compared in integers with no rounded quotient
+///   ([`CapacityProfile::min_capacity_reaching`](balance_machine::CapacityProfile::min_capacity_reaching),
+///   O(log breakpoints), no kernel run). The per-PE answer is
+///   `max(floor, ⌈M/p⌉)` when that is at most `cfg.m_max`, where `floor`
+///   is the kernel's per-PE minimum. Only **exact** profiles qualify
 ///   ([`CapacityProfile::is_exact`](balance_machine::CapacityProfile::is_exact));
 ///   a SHARDS-sampled profile is rejected here and the kernel probed by
 ///   real runs instead, so sampling error can never shift a measured
 ///   balance point (pinned by test);
 /// * comm-priced kernels (matmul, grid), whose external traffic re-blocks
-///   per memory size, fall back to exponential search + bisection over
-///   real kernel runs — one verified run per probe, exactly as before.
+///   per memory size, are searched by exponential search + bisection over
+///   real kernel runs — one verified run per probe.
 ///
-/// Both engines walk the identical search lattice, so wherever a kernel
-/// could use either, the results agree (pinned by test).
+/// Wherever a kernel could use either, the answers agree (pinned by
+/// test), and the inverse equals a linear scan of every per-PE memory
+/// (pinned by test).
 ///
 /// Assumes the kernel's measured intensity is non-decreasing in memory,
 /// which every §3 decomposition satisfies (more memory never forces more
@@ -208,15 +200,14 @@ pub fn measured_balance_memory(
 
 /// [`measured_balance_memory`] under an explicit [`TrafficModel`].
 ///
-/// The one-replay [`ExternalIoProfile`](crate::pkernels::ExternalIoProfile)
-/// fast path is a **word-granular read-priced** curve — one histogram
-/// read per probe, no line state, no dirty bits. Under a device-real
-/// model (`line_words > 1` or write-back pricing on) that curve no longer
-/// answers the priced question, so the fast path **declines** and every
-/// probe falls back to a real kernel run, whose external traffic is the
-/// decomposition's explicit message movement (model-independent). The
-/// search lattice is identical either way, so under the word-granular
-/// model this is exactly [`measured_balance_memory`] (pinned by test).
+/// An [`ExternalIoProfile`](crate::pkernels::ExternalIoProfile) is a
+/// **word-granular read-priced** curve — no line state, no dirty bits.
+/// Under a device-real model (`line_words > 1` or write-back pricing on)
+/// that curve no longer answers the priced question, so the profile is
+/// **declined** and every probe is a real kernel run, whose external
+/// traffic is the decomposition's explicit message movement
+/// (model-independent). Under the word-granular model this is exactly
+/// [`measured_balance_memory`] (pinned by test).
 ///
 /// # Errors
 ///
@@ -234,38 +225,37 @@ pub fn measured_balance_memory_with_model(
         })?
         .machine_balance();
     let lo0 = kernel.min_memory_per_pe(cfg.n, topology).min(cfg.m_max);
-    // The histogram fast path promises the *exact* external-I/O curve
-    // under the word-granular read-priced model: a SHARDS-sampled
-    // (approximate) profile — or a device-real pricing question the
-    // word-granular histogram cannot answer — must not silently shift a
-    // measured balance point, so both fall through to real kernel runs.
-    match kernel
+    // The profile promises the *exact* external-I/O curve under the
+    // word-granular read-priced model: a SHARDS-sampled (approximate)
+    // profile — or a device-real pricing question the word-granular
+    // histogram cannot answer — must not silently shift a measured
+    // balance point, so both fall through to real kernel runs.
+    if let Some(profile) = kernel
         .io_profile(cfg.n, topology)
         .filter(|profile| model.is_word_granular_read_priced() && profile.profile().is_exact())
     {
-        Some(profile) => {
-            let p = topology.pe_count();
-            search_balance(lo0, cfg.m_max, target, |m| {
-                Ok(profile.external_intensity(m as u64 * p))
-            })
-        }
-        None => search_balance(lo0, cfg.m_max, target, |m| {
-            kernel
-                .run_on(
-                    topology,
-                    cfg.n,
-                    &HierarchySpec::flat_words(m),
-                    cfg.seed,
-                    cfg.verify,
-                )
-                .map(|r| r.external_intensity())
-        }),
+        let p = topology.pe_count();
+        return Ok(profile
+            .min_total_memory_reaching(target)
+            .map(|total| total.div_ceil(p).max(lo0 as u64))
+            .filter(|&m| m <= cfg.m_max as u64)
+            .map(Words::new));
     }
+    search_balance(lo0, cfg.m_max, target, |m| {
+        kernel
+            .run_on(
+                topology,
+                cfg.n,
+                &HierarchySpec::flat_words(m),
+                cfg.seed,
+                cfg.verify,
+            )
+            .map(|r| r.external_intensity())
+    })
 }
 
 /// Exponential search + bisection for the smallest per-PE memory in
-/// `[lo0, m_max]` whose probed intensity reaches `target` — the one
-/// search lattice both probe engines walk.
+/// `[lo0, m_max]` whose probed intensity reaches `target`.
 fn search_balance(
     lo0: usize,
     m_max: usize,
@@ -301,9 +291,8 @@ fn search_balance(
 
 /// The measured `(size, per-PE memory-at-balance)` walk of an arrangement
 /// family — the measured counterpart of
-/// [`linear_array_series`](crate::scaling::linear_array_series) /
-/// [`mesh_series`](crate::scaling::mesh_series), produced by running the
-/// kernel instead of evaluating the growth law.
+/// [`analytic_series`](crate::scaling::analytic_series), produced by
+/// measuring the kernel instead of evaluating the growth law.
 ///
 /// # Errors
 ///
@@ -347,11 +336,10 @@ pub fn measured_series(
 /// near-integer polynomial degrees within `snap_tol`.
 ///
 /// The result is the §4 growth law with the intensity shape *measured
-/// instead of assumed*: feeding it to the analytic
-/// [`linear_array_series`](crate::scaling::linear_array_series) /
-/// [`mesh_series`](crate::scaling::mesh_series) must reproduce their
-/// predictions (pinned by property test — the measured validation of
-/// Figures 3 and 4).
+/// instead of assumed*: feeding it to
+/// [`analytic_series`](crate::scaling::analytic_series) must reproduce
+/// the paper law's predictions (pinned by property test — the measured
+/// validation of Figures 3 and 4).
 ///
 /// # Errors
 ///
@@ -362,7 +350,7 @@ pub fn measured_growth_law(
     cfg: &ParallelSweepConfig,
     snap_tol: f64,
 ) -> Result<GrowthLaw, KernelError> {
-    let points: Vec<DataPoint> = parallel_sweep_par(kernel, cfg)?
+    let points: Vec<DataPoint> = parallel_sweep(kernel, cfg)?
         .iter()
         .map(|pt| DataPoint::new(pt.run.total_memory() as f64, pt.run.external_intensity()))
         .collect();
@@ -405,10 +393,15 @@ mod tests {
 
     #[test]
     fn parallel_executors_are_bit_identical() {
+        // The fanned-out sweep returns, in sweep order, exactly the runs a
+        // point-by-point replay on the calling thread produces.
         let cfg = ParallelSweepConfig::new(16, vec![topo(1), topo(3)], vec![12, 48, 108], 9);
-        let serial = parallel_sweep(&ParMatMul, &cfg).unwrap();
-        let par = parallel_sweep_par(&ParMatMul, &cfg).unwrap();
-        assert_eq!(serial, par);
+        let serial: Vec<ParallelPoint> = grid(&ParMatMul, &cfg)
+            .into_iter()
+            .map(|(t, m)| run_point(&ParMatMul, &cfg, t, m).unwrap())
+            .collect();
+        assert_eq!(serial.len(), 6);
+        assert_eq!(parallel_sweep(&ParMatMul, &cfg).unwrap(), serial);
     }
 
     #[test]
@@ -469,9 +462,9 @@ mod tests {
 
     #[test]
     fn profile_probe_matches_kernel_replay_probe() {
-        // The histogram fast path and the run-per-probe fallback walk the
-        // same search lattice: identical answers at every target, both the
-        // reachable (Some) and unreachable (None) regimes.
+        // The profile's exact inverse and the run-per-probe search agree:
+        // identical answers at every target, both the reachable (Some)
+        // and unreachable (None) regimes.
         for balance in [0.2, 0.4, 0.5, 0.6, 2.0] {
             for topo in [topo(1), topo(2), Topology::mesh(2).unwrap()] {
                 let cfg = MeasuredBalanceConfig {
@@ -691,10 +684,128 @@ mod tests {
     fn transpose_profile_reports_one_touch_traffic() {
         let p = ParTranspose.io_profile(16, topo(2)).unwrap();
         // Every word of A and T crosses once at any pooled memory.
-        assert_eq!(p.external_words(1), 2 * 16 * 16);
-        assert_eq!(p.external_words(1 << 20), 2 * 16 * 16);
-        assert_eq!(p.external_intensity(64), 0.5);
+        assert_eq!(p.profile().misses_at(1), 2 * 16 * 16);
+        assert_eq!(p.profile().misses_at(1 << 20), 2 * 16 * 16);
         assert_eq!(p.profile().compulsory_misses(), 2 * 16 * 16);
+        // So intensity is ½ at every memory: reached from one word up,
+        // never a ulp above.
+        assert_eq!(p.min_total_memory_reaching(0.5), Some(1));
+        assert_eq!(p.min_total_memory_reaching(0.5f64.next_up()), None);
+    }
+
+    /// `ParMatMul` advertising the serial matmul trace's exact profile as
+    /// its external I/O: a curve with many breakpoints, so the exact
+    /// inverse is exercised at and between them.
+    #[derive(Debug)]
+    struct MatmulTraceProfile;
+
+    impl ParallelKernel for MatmulTraceProfile {
+        fn name(&self) -> &'static str {
+            ParMatMul.name()
+        }
+        fn description(&self) -> &'static str {
+            ParMatMul.description()
+        }
+        fn serial(&self) -> Box<dyn balance_kernels::Kernel> {
+            ParMatMul.serial()
+        }
+        fn min_memory_per_pe(&self, n: usize, topology: Topology) -> usize {
+            ParMatMul.min_memory_per_pe(n, topology)
+        }
+        fn run_on(
+            &self,
+            topology: Topology,
+            n: usize,
+            per_pe: &HierarchySpec,
+            seed: u64,
+            verify: Verify,
+        ) -> Result<crate::pkernels::ParallelRun, KernelError> {
+            ParMatMul.run_on(topology, n, per_pe, seed, verify)
+        }
+        fn io_profile(
+            &self,
+            n: usize,
+            _topology: Topology,
+        ) -> Option<crate::pkernels::ExternalIoProfile> {
+            use balance_kernels::Kernel;
+            let trace = balance_kernels::matmul::MatMul.access_trace(n)?;
+            let ops = trace.comp_ops();
+            let profile = balance_machine::StackDistance::profile_of(trace.into_addrs());
+            Some(crate::pkernels::ExternalIoProfile::new(ops, profile))
+        }
+    }
+
+    /// `ops ≥ target · words` in exact integer arithmetic: a positive
+    /// normal `target` is `mant · 2^exp`, so the comparison is
+    /// `ops · 2^-exp ≥ mant · words` in `u128`.
+    fn reaches_exactly(ops: u64, words: u64, target: f64) -> bool {
+        let bits = target.to_bits();
+        let mant = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
+        let exp = (bits >> 52) as i32 - 1075;
+        assert!(
+            target.is_normal() && (-64..0).contains(&exp),
+            "test premise: {target}"
+        );
+        u128::from(ops) << exp.unsigned_abs() >= mant * u128::from(words)
+    }
+
+    #[test]
+    fn profile_answer_equals_an_exact_linear_scan() {
+        let n = 8;
+        let ops = {
+            use balance_kernels::Kernel;
+            balance_kernels::matmul::MatMul
+                .access_trace(n)
+                .unwrap()
+                .comp_ops()
+        };
+        let profile = MatmulTraceProfile.io_profile(n, topo(1)).unwrap();
+        let curve = profile.profile();
+        assert!(curve.is_exact());
+        // Every distinct external-word count the curve takes on.
+        let mut words: Vec<u64> = (1..=curve.saturating_capacity())
+            .map(|m| curve.misses_at(m))
+            .collect();
+        words.dedup();
+        assert!(
+            words.len() > 8,
+            "test premise: several breakpoints, got {words:?}"
+        );
+        let m_max = 100;
+        // Power-of-two arrangements, so each aggregate balance below is
+        // exactly the target it was built for.
+        for topology in [topo(1), topo(2), topo(4), Topology::mesh(2).unwrap()] {
+            let p = topology.pe_count();
+            let alpha = topology.alpha().get();
+            let lo0 = MatmulTraceProfile.min_memory_per_pe(n, topology);
+            for &w in &words {
+                let at = ops as f64 / w as f64;
+                for target in [at, at.next_up()] {
+                    let cfg = MeasuredBalanceConfig {
+                        cell: PeSpec::new(
+                            OpsPerSec::new(target / alpha),
+                            WordsPerSec::new(1.0),
+                            Words::new(1024),
+                        )
+                        .unwrap(),
+                        n,
+                        seed: 1,
+                        verify: Verify::Full,
+                        m_max,
+                    };
+                    let agg = topology.aggregate(cfg.cell).unwrap().machine_balance();
+                    assert_eq!(agg, target, "test premise: exact target on {topology}");
+                    let scan = (lo0..=m_max)
+                        .find(|&m| reaches_exactly(ops, curve.misses_at(m as u64 * p), target))
+                        .map(|m| Words::new(m as u64));
+                    assert_eq!(
+                        measured_balance_memory(&MatmulTraceProfile, topology, &cfg).unwrap(),
+                        scan,
+                        "target {target} ({ops}/{w}) on {topology}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

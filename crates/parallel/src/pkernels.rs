@@ -31,7 +31,7 @@
 //! same addresses), so its [`Execution`](balance_core::Execution) is
 //! bit-identical — pinned by property test across the registry.
 
-use balance_core::{CostProfile, HierarchySpec};
+use balance_core::HierarchySpec;
 use balance_kernels::error::KernelError;
 use balance_kernels::matrix::MatrixHandle;
 use balance_kernels::{reference, verify, workload, Kernel, Verify};
@@ -47,8 +47,8 @@ use crate::pmachine::{ParallelExecution, ParallelMachine, Topology};
 /// pricing, no partition-dependent blocking — e.g. the one-touch
 /// [`ParTranspose`]) expose it through
 /// [`ParallelKernel::io_profile`]; the memory-at-balance search
-/// ([`crate::measure::measured_balance_memory`]) then probes the profile
-/// in O(1) reads instead of re-running the kernel per bisection step.
+/// ([`crate::measure::measured_balance_memory`]) then answers from the
+/// profile's exact inverse instead of re-running the kernel.
 #[derive(Debug, Clone)]
 pub struct ExternalIoProfile {
     comp_ops: u64,
@@ -62,17 +62,13 @@ impl ExternalIoProfile {
         ExternalIoProfile { comp_ops, profile }
     }
 
-    /// External words at a pooled machine memory of `total_memory` words.
+    /// The smallest pooled machine memory, in words, at which the
+    /// external intensity reaches `target` op/word — the quantity the §4
+    /// balance condition reads — or `None` when no memory does. Exact:
+    /// [`CapacityProfile::min_capacity_reaching`] on the op count.
     #[must_use]
-    pub fn external_words(&self, total_memory: u64) -> u64 {
-        self.profile.misses_at(total_memory)
-    }
-
-    /// External intensity at a pooled machine memory of `total_memory`
-    /// words — the quantity the §4 balance condition reads.
-    #[must_use]
-    pub fn external_intensity(&self, total_memory: u64) -> f64 {
-        CostProfile::new(self.comp_ops, self.external_words(total_memory)).intensity()
+    pub fn min_total_memory_reaching(&self, target: f64) -> Option<u64> {
+        self.profile.min_capacity_reaching(self.comp_ops, target)
     }
 
     /// The underlying capacity profile.

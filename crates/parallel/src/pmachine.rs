@@ -4,9 +4,10 @@
 //! method of increasing the computation bandwidth of a PE": the collection
 //! is one big PE with `p`-fold (linear array) or `p²`-fold (mesh) compute,
 //! whose I/O bandwidth grows not at all (linear) or only `p`-fold (mesh
-//! perimeter). [`crate::array`] and [`crate::mesh`] carry the *analytic*
-//! consequences; this module makes the arrangement **executable**: a
-//! [`ParallelMachine`] owns `p` simulated [`Pe`]s — each with its own
+//! perimeter). [`Topology`] is that arrangement, once: it carries the
+//! *analytic* consequences — the aggregate PE, `α`, and the closed-form
+//! memory a growth law demands of each PE — and this module makes it
+//! **executable**: a [`ParallelMachine`] owns `p` simulated [`Pe`]s — each with its own
 //! [`MemorySystem`](balance_machine::MemorySystem), flat or a full
 //! [`HierarchySpec`] ladder — and counts two distinct traffic classes:
 //!
@@ -35,10 +36,9 @@ use balance_core::{
 };
 use balance_machine::{BufferId, ExternalStore, MachineError, Pe, Region};
 
-use crate::array::LinearArray;
-use crate::mesh::SquareMesh;
-
 /// The arrangement of the PEs: which §4 figure the machine realizes.
+/// [`Topology::linear`] and [`Topology::mesh`] show how each arrangement
+/// scales per-PE memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// A linearly connected array of `p` PEs (§4.1, Fig. 3): only the
@@ -60,6 +60,21 @@ pub enum Topology {
 impl Topology {
     /// A linear array of `p ≥ 1` PEs.
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use balance_core::{GrowthLaw, Words};
+    /// use balance_parallel::Topology;
+    ///
+    /// let array = Topology::linear(16)?;
+    /// assert_eq!(array.alpha().get(), 16.0);
+    ///
+    /// // §4.1, matrix law: per-PE memory grows linearly with p.
+    /// let per_pe = array.required_memory_per_pe(GrowthLaw::Polynomial { degree: 2.0 }, Words::new(1024))?;
+    /// assert_eq!(per_pe.get(), 16 * 1024);
+    /// # Ok::<(), balance_core::BalanceError>(())
+    /// ```
+    ///
     /// # Errors
     ///
     /// [`BalanceError::InvalidQuantity`] if `p == 0`.
@@ -74,6 +89,24 @@ impl Topology {
     }
 
     /// A `side × side` mesh, `side ≥ 1`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use balance_core::{GrowthLaw, Words};
+    /// use balance_parallel::Topology;
+    ///
+    /// let mesh = Topology::mesh(8)?;
+    ///
+    /// // §4.2, matrix law: constant per-PE memory regardless of p.
+    /// let law = GrowthLaw::Polynomial { degree: 2.0 };
+    /// assert_eq!(mesh.required_memory_per_pe(law, Words::new(1024))?.get(), 1024);
+    ///
+    /// // 3-d grid law: per-PE memory grows with p.
+    /// let law3 = GrowthLaw::Polynomial { degree: 3.0 };
+    /// assert_eq!(mesh.required_memory_per_pe(law3, Words::new(1024))?.get(), 8 * 1024);
+    /// # Ok::<(), balance_core::BalanceError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -150,43 +183,54 @@ impl Topology {
         }
     }
 
-    /// The machine viewed as one PE built from `cell`s: the §4 aggregate
-    /// (delegates to [`LinearArray::aggregate`] / [`SquareMesh::aggregate`]).
+    /// The machine viewed as one PE built from `cell`s: `p`-fold compute
+    /// and memory behind unchanged I/O for the linear array (only the
+    /// boundary PEs reach the outside world), `side²`-fold compute and
+    /// memory behind `side`-fold I/O for the mesh (its perimeter).
     ///
     /// # Errors
     ///
     /// [`BalanceError::MemoryOverflow`] for absurd sizes.
     pub fn aggregate(&self, cell: PeSpec) -> Result<PeSpec, BalanceError> {
         match *self {
-            Topology::Linear { p } => LinearArray::new(p, cell)?.aggregate(),
-            Topology::Mesh { side } => SquareMesh::new(side, cell)?.aggregate(),
+            Topology::Linear { p } => cell.aggregate(p),
+            Topology::Mesh { side } => cell.aggregate_scaled(side * side, side as f64),
         }
     }
 
-    /// The analytic per-PE memory requirement of the arrangement for a
-    /// computation with growth law `law` balanced at `m_old` on one PE —
-    /// the §4 closed forms ([`LinearArray::required_memory_per_pe`] /
-    /// [`SquareMesh::required_memory_per_pe`]) that experiment E21
-    /// validates by measurement.
+    /// Total memory the arrangement needs to stay balanced for a
+    /// computation with growth law `law` balanced at `m_old` on one PE:
+    /// the law at `α`.
     ///
     /// # Errors
     ///
-    /// [`BalanceError::IoBounded`] / [`BalanceError::MemoryOverflow`] per
-    /// the law.
-    pub fn required_memory_per_pe(
+    /// [`BalanceError::IoBounded`] for I/O-bounded computations,
+    /// [`BalanceError::MemoryOverflow`] when the law explodes.
+    pub fn required_total_memory(
         &self,
-        cell: PeSpec,
         law: GrowthLaw,
         m_old: Words,
     ) -> Result<Words, BalanceError> {
-        match *self {
-            Topology::Linear { p } => {
-                LinearArray::new(p, cell)?.required_memory_per_pe(law, m_old)
-            }
-            Topology::Mesh { side } => {
-                SquareMesh::new(side, cell)?.required_memory_per_pe(law, m_old)
-            }
-        }
+        law.new_memory(self.alpha().get(), m_old)
+    }
+
+    /// Memory each PE needs to keep the arrangement balanced: the
+    /// [total](Self::required_total_memory) over the PE count, rounded up.
+    /// For the matrix law (`α²`) that is `p·M_old` on a linear array —
+    /// per-PE memory grows with the array (§4.1) — and `M_old` on a mesh,
+    /// which is self-balancing; an `α^d` law costs a mesh `side^(d-2)·M_old`
+    /// (§4.2). Experiment E21 validates these closed forms by measurement.
+    ///
+    /// # Errors
+    ///
+    /// As [`required_total_memory`](Self::required_total_memory).
+    pub fn required_memory_per_pe(
+        &self,
+        law: GrowthLaw,
+        m_old: Words,
+    ) -> Result<Words, BalanceError> {
+        let total = self.required_total_memory(law, m_old)?;
+        Ok(Words::new(total.get().div_ceil(self.pe_count())))
     }
 }
 
@@ -759,7 +803,7 @@ mod tests {
         assert_eq!(
             Topology::linear(4)
                 .unwrap()
-                .required_memory_per_pe(cell, law, Words::new(100))
+                .required_memory_per_pe(law, Words::new(100))
                 .unwrap()
                 .get(),
             400
@@ -767,11 +811,148 @@ mod tests {
         assert_eq!(
             Topology::mesh(4)
                 .unwrap()
-                .required_memory_per_pe(cell, law, Words::new(100))
+                .required_memory_per_pe(law, Words::new(100))
                 .unwrap()
                 .get(),
             100
         );
+    }
+
+    // The §4.1 linear array, in closed form.
+
+    fn cell() -> PeSpec {
+        PeSpec::new(
+            OpsPerSec::new(10.0e6),
+            WordsPerSec::new(20.0e6),
+            Words::new(1024),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn aggregate_scales_compute_not_io() {
+        let array = Topology::linear(8).unwrap();
+        let agg = array.aggregate(cell()).unwrap();
+        assert_eq!(agg.comp_bw().get(), 80.0e6);
+        assert_eq!(agg.io_bw().get(), 20.0e6);
+        assert_eq!(agg.memory().get(), 8 * 1024);
+        assert_eq!(array.alpha().get(), 8.0);
+    }
+
+    #[test]
+    fn per_pe_memory_grows_linearly_for_matrix_law() {
+        // The paper's §4.1 result, verified across array sizes.
+        let law = GrowthLaw::Polynomial { degree: 2.0 };
+        let m_old = Words::new(4096);
+        for p in [1u64, 2, 4, 8, 16, 32, 64] {
+            let array = Topology::linear(p).unwrap();
+            let per_pe = array.required_memory_per_pe(law, m_old).unwrap();
+            assert_eq!(per_pe.get(), p * 4096, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn per_pe_memory_grows_quadratically_for_3d_grids() {
+        let law = GrowthLaw::Polynomial { degree: 3.0 };
+        let array = Topology::linear(10).unwrap();
+        let per_pe = array.required_memory_per_pe(law, Words::new(1000)).unwrap();
+        // total = p³·M_old = 1000·1000 words; per PE = total/p = p²·M_old.
+        assert_eq!(per_pe.get(), 100 * 1000);
+    }
+
+    #[test]
+    fn io_bounded_computations_cannot_balance_any_array() {
+        let array = Topology::linear(4).unwrap();
+        assert_eq!(
+            array.required_memory_per_pe(GrowthLaw::Impossible, Words::new(64)),
+            Err(BalanceError::IoBounded)
+        );
+    }
+
+    #[test]
+    fn fft_law_explodes_with_p() {
+        // M_old^p: even p = 8 with M_old = 4096 overflows u64 (2^96).
+        let array = Topology::linear(8).unwrap();
+        assert!(matches!(
+            array.required_total_memory(GrowthLaw::Exponential, Words::new(4096)),
+            Err(BalanceError::MemoryOverflow { .. })
+        ));
+    }
+
+    #[test]
+    fn p_one_is_identity() {
+        let array = Topology::linear(1).unwrap();
+        let per_pe = array
+            .required_memory_per_pe(GrowthLaw::Polynomial { degree: 2.0 }, Words::new(77))
+            .unwrap();
+        assert_eq!(per_pe.get(), 77);
+    }
+
+    #[test]
+    fn zero_pes_rejected() {
+        assert!(Topology::linear(0).is_err());
+    }
+
+    // The §4.2 square mesh, in closed form.
+
+    #[test]
+    fn aggregate_scales_like_the_paper_says() {
+        let mesh = Topology::mesh(8).unwrap();
+        let agg = mesh.aggregate(cell()).unwrap();
+        assert_eq!(agg.comp_bw().get(), 64.0 * 10.0e6);
+        assert_eq!(agg.io_bw().get(), 8.0 * 20.0e6);
+        assert_eq!(agg.memory().get(), 64 * 1024);
+        // alpha = p.
+        let cell_balance = cell().machine_balance();
+        assert!((agg.machine_balance() / cell_balance - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn matrix_law_is_self_balancing() {
+        // The §4.2 headline: constant per-PE memory for α²-computations.
+        let law = GrowthLaw::Polynomial { degree: 2.0 };
+        for p in [1u64, 2, 4, 8, 16, 32] {
+            let mesh = Topology::mesh(p).unwrap();
+            let per_pe = mesh.required_memory_per_pe(law, Words::new(256)).unwrap();
+            assert_eq!(per_pe.get(), 256, "p = {p}");
+        }
+    }
+
+    #[test]
+    fn high_dimensional_grids_are_never_self_balancing() {
+        // For d > 2, per-PE memory grows as p^(d-2): "an automatically
+        // rebalanced, square processor array is never possible".
+        let law3 = GrowthLaw::Polynomial { degree: 3.0 };
+        let law4 = GrowthLaw::Polynomial { degree: 4.0 };
+        for p in [2u64, 4, 8] {
+            let mesh = Topology::mesh(p).unwrap();
+            let m3 = mesh.required_memory_per_pe(law3, Words::new(256)).unwrap();
+            let m4 = mesh.required_memory_per_pe(law4, Words::new(256)).unwrap();
+            assert_eq!(m3.get(), p * 256, "d=3, p={p}");
+            assert_eq!(m4.get(), p * p * 256, "d=4, p={p}");
+        }
+    }
+
+    #[test]
+    fn io_bounded_and_exponential_laws_behave() {
+        let mesh = Topology::mesh(4).unwrap();
+        assert_eq!(
+            mesh.required_memory_per_pe(GrowthLaw::Impossible, Words::new(64)),
+            Err(BalanceError::IoBounded)
+        );
+        // Exponential: 64^4 = 2^24 total; per PE = 2^24/16 = 2^20.
+        let per_pe = mesh
+            .required_memory_per_pe(GrowthLaw::Exponential, Words::new(64))
+            .unwrap();
+        assert_eq!(per_pe.get(), (1u64 << 24) / 16);
+    }
+
+    #[test]
+    fn degenerate_sizes() {
+        assert!(Topology::mesh(0).is_err());
+        let mesh = Topology::mesh(1).unwrap();
+        assert_eq!(mesh.pe_count(), 1);
+        assert_eq!(mesh.alpha().get(), 1.0);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Generates `(p, memory-per-PE)` curves for linear arrays and square
 //! meshes under each growth law — the data behind Figures 3 and 4's
-//! architectural conclusions.
+//! architectural conclusions. [`analytic_series`] evaluates the closed
+//! forms; [`crate::measure::measured_series`] is its measured twin.
 
-use balance_core::{BalanceError, GrowthLaw, PeSpec, Words};
+use balance_core::{BalanceError, GrowthLaw, Words};
 
-use crate::array::LinearArray;
-use crate::mesh::SquareMesh;
+use crate::pmachine::TopologyKind;
 
 /// One point of a scaling series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,52 +20,28 @@ pub struct ScalingPoint {
     pub total_memory: u64,
 }
 
-/// Per-PE memory requirement of a linear array of each size in `ps`, for a
-/// computation with growth law `law` balanced at `m_old` on one PE.
+/// Per-PE and total memory requirement of the `kind` arrangement at each
+/// size in `sizes` ([`TopologyKind::at`]), for a computation with growth
+/// law `law` balanced at `m_old` on one PE.
 ///
 /// # Errors
 ///
-/// Propagates law errors ([`BalanceError::IoBounded`], overflow).
-pub fn linear_array_series(
-    cell: PeSpec,
+/// [`BalanceError::InvalidQuantity`] for a zero size, and law errors
+/// ([`BalanceError::IoBounded`], overflow).
+pub fn analytic_series(
+    kind: TopologyKind,
     law: GrowthLaw,
     m_old: Words,
-    ps: &[u64],
+    sizes: &[u64],
 ) -> Result<Vec<ScalingPoint>, BalanceError> {
-    ps.iter()
+    sizes
+        .iter()
         .map(|&p| {
-            let array = LinearArray::new(p, cell)?;
-            let total = array.required_total_memory(law, m_old)?;
-            let per_pe = array.required_memory_per_pe(law, m_old)?;
+            let topology = kind.at(p)?;
             Ok(ScalingPoint {
                 p,
-                per_pe_memory: per_pe.get(),
-                total_memory: total.get(),
-            })
-        })
-        .collect()
-}
-
-/// Per-PE memory requirement of a `p × p` mesh for each `p` in `ps`.
-///
-/// # Errors
-///
-/// Propagates law errors.
-pub fn mesh_series(
-    cell: PeSpec,
-    law: GrowthLaw,
-    m_old: Words,
-    ps: &[u64],
-) -> Result<Vec<ScalingPoint>, BalanceError> {
-    ps.iter()
-        .map(|&p| {
-            let mesh = SquareMesh::new(p, cell)?;
-            let total = mesh.required_total_memory(law, m_old)?;
-            let per_pe = mesh.required_memory_per_pe(law, m_old)?;
-            Ok(ScalingPoint {
-                p,
-                per_pe_memory: per_pe.get(),
-                total_memory: total.get(),
+                per_pe_memory: topology.required_memory_per_pe(law, m_old)?.get(),
+                total_memory: topology.required_total_memory(law, m_old)?.get(),
             })
         })
         .collect()
@@ -96,24 +72,14 @@ pub fn growth_exponent(series: &[ScalingPoint]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use balance_core::{OpsPerSec, WordsPerSec};
-
-    fn cell() -> PeSpec {
-        PeSpec::new(
-            OpsPerSec::new(1.0e7),
-            WordsPerSec::new(2.0e7),
-            Words::new(1024),
-        )
-        .unwrap()
-    }
 
     const PS: [u64; 6] = [2, 4, 8, 16, 32, 64];
 
     #[test]
     fn linear_array_matrix_law_grows_linearly() {
         // E8 / Fig 3: per-PE memory ∝ p.
-        let series = linear_array_series(
-            cell(),
+        let series = analytic_series(
+            TopologyKind::Linear,
             GrowthLaw::Polynomial { degree: 2.0 },
             Words::new(1024),
             &PS,
@@ -126,8 +92,8 @@ mod tests {
     #[test]
     fn mesh_matrix_law_is_flat() {
         // E9 / Fig 4: per-PE memory constant.
-        let series = mesh_series(
-            cell(),
+        let series = analytic_series(
+            TopologyKind::Mesh,
             GrowthLaw::Polynomial { degree: 2.0 },
             Words::new(1024),
             &PS,
@@ -141,8 +107,8 @@ mod tests {
     #[test]
     fn mesh_3d_grid_law_grows_linearly() {
         // E9's second half: d = 3 grids grow per-PE memory like p^(d-2) = p.
-        let series = mesh_series(
-            cell(),
+        let series = analytic_series(
+            TopologyKind::Mesh,
             GrowthLaw::Polynomial { degree: 3.0 },
             Words::new(1024),
             &PS,
@@ -154,7 +120,13 @@ mod tests {
 
     #[test]
     fn io_bounded_law_propagates_error() {
-        assert!(linear_array_series(cell(), GrowthLaw::Impossible, Words::new(64), &PS).is_err());
+        let series = analytic_series(
+            TopologyKind::Linear,
+            GrowthLaw::Impossible,
+            Words::new(64),
+            &PS,
+        );
+        assert_eq!(series, Err(BalanceError::IoBounded));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use core::fmt;
 
 use balance_core::{BalanceError, IntensityModel, OpsPerSec, PeSpec, Words, WordsPerSec};
 
-use crate::array::LinearArray;
+use crate::pmachine::Topology;
 
 /// Warp cell computation bandwidth: 10 MFLOP/s.
 pub const WARP_CELL_OPS: f64 = 10.0e6;
@@ -38,10 +38,10 @@ pub fn warp_cell() -> PeSpec {
     .expect("constants are valid")
 }
 
-/// The 10-cell Warp array as a [`LinearArray`].
+/// The 10-cell Warp array: a linear array of [`warp_cell`]s.
 #[must_use]
-pub fn warp_array() -> LinearArray {
-    LinearArray::new(WARP_CELLS, warp_cell()).expect("constants are valid")
+pub fn warp_array() -> Topology {
+    Topology::Linear { p: WARP_CELLS }
 }
 
 /// One row of the case study: a computation against the Warp cell/array.
@@ -84,9 +84,8 @@ pub fn case_study(
     computations: &[(&'static str, IntensityModel)],
 ) -> Result<WarpReport, BalanceError> {
     let cell = warp_cell();
-    let array = warp_array();
     let cell_balance = cell.machine_balance();
-    let array_balance = array.aggregate()?.machine_balance();
+    let array_balance = warp_array().aggregate(cell)?.machine_balance();
 
     let mut rows = Vec::new();
     for &(name, model) in computations {
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn array_balance_is_ten_cells_behind_one_port() {
-        let agg = warp_array().aggregate().unwrap();
+        let agg = warp_array().aggregate(warp_cell()).unwrap();
         assert_eq!(agg.machine_balance(), 5.0);
     }
 

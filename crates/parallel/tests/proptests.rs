@@ -1,21 +1,12 @@
 //! Property-based tests for the parallel-architecture models and the
 //! systolic simulators.
 
-use balance_core::{GrowthLaw, OpsPerSec, PeSpec, Words, WordsPerSec};
+use balance_core::{GrowthLaw, Words};
 use balance_kernels::{reference, workload};
 use balance_parallel::systolic::givens::triangularize;
 use balance_parallel::systolic::matmul::systolic_matmul;
-use balance_parallel::{LinearArray, SquareMesh};
+use balance_parallel::{Topology, TopologyKind};
 use proptest::prelude::*;
-
-fn cell() -> PeSpec {
-    PeSpec::new(
-        OpsPerSec::new(1.0e7),
-        WordsPerSec::new(2.0e7),
-        Words::new(1024),
-    )
-    .unwrap()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -62,7 +53,7 @@ proptest! {
     /// the matrix law, and per-PE memory is total / p — for any p.
     #[test]
     fn linear_array_identities(p in 1u64..200, m_old in 1u64..10_000) {
-        let array = LinearArray::new(p, cell()).unwrap();
+        let array = Topology::linear(p).unwrap();
         let law = GrowthLaw::Polynomial { degree: 2.0 };
         let total = array.required_total_memory(law, Words::new(m_old)).unwrap();
         let per_pe = array.required_memory_per_pe(law, Words::new(m_old)).unwrap();
@@ -75,7 +66,7 @@ proptest! {
     /// independent of p; for the α³-law it is p × baseline.
     #[test]
     fn mesh_identities(p in 1u64..200, m_old in 1u64..10_000) {
-        let mesh = SquareMesh::new(p, cell()).unwrap();
+        let mesh = Topology::mesh(p).unwrap();
         let law2 = GrowthLaw::Polynomial { degree: 2.0 };
         let law3 = GrowthLaw::Polynomial { degree: 3.0 };
         prop_assert_eq!(
@@ -92,8 +83,8 @@ proptest! {
     /// p_mesh² = p_linear — the mesh gets more I/O for the same compute.
     #[test]
     fn mesh_has_more_io_headroom(p in 2u64..40) {
-        let linear = LinearArray::new(p * p, cell()).unwrap();
-        let mesh = SquareMesh::new(p, cell()).unwrap();
+        let linear = Topology::linear(p * p).unwrap();
+        let mesh = Topology::mesh(p).unwrap();
         // Same compute (p² cells), but mesh alpha = p < linear alpha = p².
         prop_assert!((linear.alpha().get() - (p * p) as f64).abs() < 1e-12);
         prop_assert!((mesh.alpha().get() - p as f64).abs() < 1e-12);
@@ -116,8 +107,7 @@ proptest! {
 use balance_core::HierarchySpec;
 use balance_kernels::Verify;
 use balance_parallel::{
-    linear_array_series, measured_growth_law, mesh_series, parallel_kernels, ParMatMul,
-    ParallelSweepConfig, Topology,
+    analytic_series, measured_growth_law, parallel_kernels, ParMatMul, ParallelSweepConfig,
 };
 
 /// A per-kernel parameter pick that every registry kernel supports: small
@@ -218,7 +208,7 @@ proptest! {
     /// The §4 validation, measured: the growth law fitted from real
     /// multi-PE matmul runs snaps to the paper's matrix law (α²), and the
     /// per-PE memory-at-balance series it implies reproduces the analytic
-    /// `linear_array_series` / `mesh_series` predictions exactly — the
+    /// `analytic_series` predictions on both arrangements exactly — the
     /// only arithmetic between them is the shared `div_ceil` rounding.
     #[test]
     fn measured_per_pe_memory_matches_analytic_series(
@@ -239,20 +229,20 @@ proptest! {
         let ps = [1u64, 2, 4, 8, 16, 32];
         // Linear arrays: measured-law predictions == analytic predictions,
         // point for point (per-PE = div_ceil(total, p) on both sides).
-        let analytic = linear_array_series(
-            cell(), GrowthLaw::Polynomial { degree: 2.0 }, m_old, &ps,
+        let analytic = analytic_series(
+            TopologyKind::Linear, GrowthLaw::Polynomial { degree: 2.0 }, m_old, &ps,
         ).unwrap();
-        let measured = linear_array_series(cell(), measured_law, m_old, &ps).unwrap();
+        let measured = analytic_series(TopologyKind::Linear, measured_law, m_old, &ps).unwrap();
         for (a, m) in analytic.iter().zip(&measured) {
             prop_assert_eq!(a.per_pe_memory, m.per_pe_memory, "linear p = {}", a.p);
             prop_assert_eq!(a.total_memory, m.total_memory);
             prop_assert_eq!(a.per_pe_memory, a.total_memory.div_ceil(a.p));
         }
         // Meshes: same law, per-PE constant (self-balancing, Fig. 4).
-        let analytic = mesh_series(
-            cell(), GrowthLaw::Polynomial { degree: 2.0 }, m_old, &ps,
+        let analytic = analytic_series(
+            TopologyKind::Mesh, GrowthLaw::Polynomial { degree: 2.0 }, m_old, &ps,
         ).unwrap();
-        let measured = mesh_series(cell(), measured_law, m_old, &ps).unwrap();
+        let measured = analytic_series(TopologyKind::Mesh, measured_law, m_old, &ps).unwrap();
         for (a, m) in analytic.iter().zip(&measured) {
             prop_assert_eq!(a.per_pe_memory, m.per_pe_memory, "mesh p = {}", a.p);
             prop_assert_eq!(m.per_pe_memory, m_old_raw, "self-balancing");

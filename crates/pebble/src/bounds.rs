@@ -20,11 +20,17 @@
 /// `max(compulsory, n³ / (8·√S))`.
 ///
 /// Compulsory I/O = `2n²` input reads + `n²` output writes.
+///
+/// Both terms are computed in `u128` and clamped to `u64::MAX`, so a
+/// large `n` never wraps; a bound clamped down is still a lower bound.
 #[must_use]
 pub fn matmul_lower_bound(n: usize, s: usize) -> u64 {
-    let n = n as u64;
-    let compulsory = 3 * n * n;
-    let hk = ((n * n * n) as f64 / (8.0 * (s as f64).sqrt())).floor() as u64;
+    let n = n as u128;
+    let compulsory = u64::try_from((3 * n).saturating_mul(n)).unwrap_or(u64::MAX);
+    // A saturated n³ (n > 2^42) still floors past u64::MAX below, as
+    // 8·√S < 2^35: the cast saturates.
+    let cube = n.saturating_mul(n).saturating_mul(n);
+    let hk = (cube as f64 / (8.0 * (s as f64).sqrt())).floor() as u64;
     compulsory.max(hk)
 }
 
@@ -76,6 +82,24 @@ mod tests {
         assert_eq!(matmul_lower_bound(8, 1 << 20), 3 * 64);
         // Monotone decreasing in S.
         assert!(matmul_lower_bound(32, 4) >= matmul_lower_bound(32, 64));
+    }
+
+    #[test]
+    fn matmul_bound_does_not_wrap_past_the_u64_cube() {
+        // n³ fits u64 at n = 2,642,245 and not at n = 2,642,246; with
+        // S = 64 the Hong–Kung term is n³/64, exact in u128.
+        for n in [2_642_245usize, 2_642_246] {
+            let n128 = n as u128;
+            let reference = u64::try_from(n128 * n128 * n128 / 64).unwrap();
+            let bound = matmul_lower_bound(n, 64);
+            assert!(
+                bound.abs_diff(reference) <= reference >> 50,
+                "n = {n}: {bound} vs {reference}"
+            );
+        }
+        // Past the u64 range both terms clamp rather than wrap.
+        assert_eq!(matmul_lower_bound(usize::MAX, 1), u64::MAX);
+        assert_eq!(matmul_lower_bound(1 << 40, usize::MAX), u64::MAX);
     }
 
     #[test]

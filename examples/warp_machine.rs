@@ -7,7 +7,7 @@
 use kung_balance::core::{GrowthLaw, Words};
 use kung_balance::parallel::topology::{render_linear_array, render_mesh};
 use kung_balance::parallel::warp::{case_study, default_computations};
-use kung_balance::parallel::{warp_array, warp_cell, LinearArray, SquareMesh};
+use kung_balance::parallel::{warp_array, warp_cell, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("The Warp cell (10 MFLOP/s, 20 Mword/s, 64K words):\n");
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("linear array, matrix computations (M_old = {m_old}):");
     println!("{:>6} {:>16} {:>16}", "p", "per-PE memory", "total");
     for p in [1u64, 2, 4, 8, 16, 32] {
-        let array = LinearArray::new(p, warp_cell())?;
+        let array = Topology::linear(p)?;
         let per_pe = array.required_memory_per_pe(matrix_law, m_old)?;
         let total = array.required_total_memory(matrix_law, m_old)?;
         println!("{:>6} {:>16} {:>16}", p, per_pe.get(), total.get());
@@ -34,9 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("square mesh, matrix computations (M_old = {m_old}):");
     println!("{:>6} {:>8} {:>16}", "p", "cells", "per-PE memory");
     for p in [1u64, 2, 4, 8, 16, 32] {
-        let mesh = SquareMesh::new(p, warp_cell())?;
+        let mesh = Topology::mesh(p)?;
         let per_pe = mesh.required_memory_per_pe(matrix_law, m_old)?;
-        println!("{:>6} {:>8} {:>16}", p, mesh.cells(), per_pe.get());
+        println!("{:>6} {:>8} {:>16}", p, mesh.pe_count(), per_pe.get());
     }
     println!("→ constant per-PE memory: the mesh rebalances itself (paper §4.2)\n");
 
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("square mesh, 3-d grid computations:");
     println!("{:>6} {:>16}", "p", "per-PE memory");
     for p in [2u64, 4, 8, 16] {
-        let mesh = SquareMesh::new(p, warp_cell())?;
+        let mesh = Topology::mesh(p)?;
         println!(
             "{:>6} {:>16}",
             p,
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("   array is never possible\" for d > 2 (paper §4.2)");
 
     // The 10-cell production machine, summarized.
-    let agg = warp_array().aggregate()?;
+    let agg = warp_array().aggregate(warp_cell())?;
     println!(
         "\n10-cell Warp as one PE: C = {:.0e} op/s, IO = {:.0e} word/s, M = {}",
         agg.comp_bw().get(),

@@ -5,7 +5,7 @@ use kung_balance::core::prelude::*;
 use kung_balance::kernels::prelude::*;
 use kung_balance::kernels::{matmul::tile_side, reference, workload};
 use kung_balance::parallel::systolic::matmul::systolic_matmul;
-use kung_balance::parallel::{warp_cell, LinearArray};
+use kung_balance::parallel::{warp_cell, Topology};
 use kung_balance::pebble::builders::matmul_dag;
 use kung_balance::pebble::strategies::blocked_matmul_order;
 use kung_balance::pebble::{schedule_with_order, EvictionPolicy, Game};
@@ -119,13 +119,14 @@ fn roofline_and_rebalance_agree() {
     );
 }
 
-/// The aggregate-PE view (core) and LinearArray (parallel) agree on alpha.
+/// The aggregate-PE view (core) and the linear `Topology` (parallel) agree
+/// on alpha.
 #[test]
 fn aggregate_views_agree() {
     let cell = warp_cell();
     for p in [2u64, 5, 16] {
         let via_core = Alpha::between(&cell, &cell.aggregate(p).unwrap()).unwrap();
-        let via_parallel = LinearArray::new(p, cell).unwrap().alpha();
+        let via_parallel = Topology::linear(p).unwrap().alpha();
         assert!((via_core.get() - via_parallel.get()).abs() < 1e-12);
     }
 }
