@@ -68,12 +68,50 @@ impl Flags {
             .map_err(|e| format!("--{name}: {e}"))
     }
 
+    /// An optional u64 flag: `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Unparsable values.
+    pub fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
+        if self.map.contains_key(name) {
+            self.u64(name)
+        } else {
+            Ok(default)
+        }
+    }
+
     /// An optional string flag.
     #[must_use]
     pub fn str_opt(&self, name: &str) -> Option<&str> {
         self.map.get(name).map(String::as_str)
     }
+
+    /// Rejects every flag a command does not read: `known` lists the
+    /// flags it takes.
+    ///
+    /// # Errors
+    ///
+    /// A one-line diagnostic naming the first unknown flag in name order.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .map
+            .keys()
+            .filter(|name| !known.contains(&name.as_str()))
+            .min();
+        let Some(name) = unknown else {
+            return Ok(());
+        };
+        Err(if known.is_empty() {
+            format!("unknown flag --{name} (this command takes no flags)")
+        } else {
+            format!("unknown flag --{name} (known: --{})", known.join(", --"))
+        })
+    }
 }
+
+/// The resource-budget flags [`parse_budget`] reads.
+pub const BUDGET_FLAGS: [&str; 3] = ["max-wall-secs", "max-resident-bytes", "max-addresses"];
 
 /// The canonical computation names the table-rendering commands iterate —
 /// one per distinct law in [`model_by_name`] (aliases like `trisolve` and
@@ -110,6 +148,7 @@ pub fn model_by_name(name: &str) -> Result<IntensityModel, String> {
 ///
 /// Flag or model errors, as user-facing strings.
 pub fn cmd_pe(flags: &Flags) -> Result<String, String> {
+    flags.only(&["c", "io", "m"])?;
     let pe = PeSpec::new(
         OpsPerSec::new(flags.f64("c")?),
         WordsPerSec::new(flags.f64("io")?),
@@ -151,6 +190,7 @@ pub fn cmd_pe(flags: &Flags) -> Result<String, String> {
 ///
 /// Flag or model errors, as user-facing strings.
 pub fn cmd_rebalance(flags: &Flags) -> Result<String, String> {
+    flags.only(&["law", "alpha", "m"])?;
     let law = flags
         .str_opt("law")
         .ok_or("missing required flag --law".to_string())?;
@@ -220,21 +260,10 @@ fn engine_flag(
     }
 }
 
-/// The canonical kernel name (`Kernel::name`) a CLI kernel name stands
-/// for: the short aliases `lu`, `grid2` and `grid3`, else the name itself.
-fn canonical_kernel(name: &str) -> &str {
-    match name {
-        "lu" => "triangularization",
-        "grid2" => "grid2d",
-        "grid3" => "grid3d",
-        other => other,
-    }
-}
-
 /// A kernel of the one registry ([`registry_kernel`]) by its canonical
 /// name or an alias.
 fn kernel_by_name(name: &str) -> Result<Box<dyn Kernel>, String> {
-    registry_kernel(canonical_kernel(name)).ok_or_else(|| format!("unknown kernel '{name}'"))
+    registry_kernel(name).ok_or_else(|| format!("unknown kernel '{name}'"))
 }
 
 /// Parses the optional resource-budget flags (`--max-wall-secs`,
@@ -328,11 +357,22 @@ pub fn parse_checkpoint(flags: &Flags) -> Result<Option<CheckpointPolicy>, Strin
 ///
 /// Flag, kernel, or fitting errors, as user-facing strings.
 pub fn cmd_sweep(flags: &Flags) -> Result<String, String> {
+    let sweep_flags = [
+        "kernel",
+        "n",
+        "seed",
+        "verify",
+        "engine",
+        "line-words",
+        "ckpt-dir",
+        "ckpt-every",
+    ];
+    flags.only(&[&sweep_flags[..], &BUDGET_FLAGS].concat())?;
     let name = flags
         .str_opt("kernel")
         .ok_or("missing required flag --kernel".to_string())?;
     let n = flags.u64("n")? as usize;
-    let seed = flags.u64("seed").unwrap_or(42);
+    let seed = flags.u64_or("seed", 42)?;
     let verify = match flags.str_opt("verify") {
         Some(mode) => verify_by_name(mode)?,
         Option::None => Verify::auto(n),
@@ -533,6 +573,7 @@ pub fn parse_line_words(flags: &Flags) -> Result<Option<u64>, String> {
 ///
 /// Flag, parsing, or model errors, as user-facing strings.
 pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
+    flags.only(&["levels", "c", "kernel", "n", "line-words", "engine"])?;
     let spec = parse_levels(
         flags
             .str_opt("levels")
@@ -596,10 +637,7 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
     if let Some(flag) = flags.str_opt("kernel") {
         let kernel = kernel_by_name(flag)?;
         let kname = kernel.name();
-        let n = match flags.str_opt("n") {
-            Some(_) => flags.u64("n")? as usize,
-            Option::None => 32,
-        };
+        let n = flags.u64_or("n", 32)? as usize;
         // Device-real measurement when any level is annotated (LINE/WBW
         // fields) or --line-words asks for it; the flag sets the sweep's
         // line, otherwise the innermost level's annotation does.
@@ -677,6 +715,7 @@ pub fn cmd_hierarchy(flags: &Flags) -> Result<String, String> {
 ///
 /// Flag, topology, kernel, or run errors, as user-facing strings.
 pub fn cmd_parallel(flags: &Flags) -> Result<String, String> {
+    flags.only(&["pes", "topology", "kernel", "n", "seed"])?;
     let pes = flags.u64("pes")?;
     let kind = TopologyKind::parse(
         flags
@@ -707,14 +746,8 @@ pub fn cmd_parallel(flags: &Flags) -> Result<String, String> {
             format!("unknown parallel kernel '{name}' (try: matmul, transpose, grid2d)")
         })?;
     let default_n = if kernel.name() == "grid2d" { 8 } else { 32 };
-    let n = match flags.str_opt("n") {
-        Some(_) => flags.u64("n")? as usize,
-        None => default_n,
-    };
-    let seed = match flags.str_opt("seed") {
-        Some(_) => flags.u64("seed")?,
-        None => 42,
-    };
+    let n = flags.u64_or("n", default_n)? as usize;
+    let seed = flags.u64_or("seed", 42)?;
 
     let cell = balance_parallel::warp_cell();
     let agg = topology.aggregate(cell).map_err(|e| e.to_string())?;
@@ -813,7 +846,10 @@ pub fn dispatch(args: &[String], out: &mut dyn Write) -> Result<(), String> {
             "sweep" => cmd_sweep(&flags)?,
             "hierarchy" => cmd_hierarchy(&flags)?,
             "parallel" => cmd_parallel(&flags)?,
-            "warp" => cmd_warp(),
+            "warp" => {
+                flags.only(&[])?;
+                cmd_warp()
+            }
             "help" | "--help" | "-h" => usage(),
             other => return Err(format!("unknown command '{other}'\n\n{}", usage())),
         }
@@ -950,6 +986,47 @@ mod tests {
         assert!(Flags::parse(&args(&["--alpha"])).is_err());
         let f = Flags::parse(&args(&["--alpha", "abc"])).unwrap();
         assert!(f.f64("alpha").is_err());
+    }
+
+    #[test]
+    fn commands_reject_unknown_flags_and_malformed_optional_values() {
+        let run = |a: &[&str]| {
+            let mut out = Vec::new();
+            dispatch(&args(a), &mut out).map(|()| String::from_utf8(out).unwrap())
+        };
+        // A misspelt flag is a one-line error, not a silently different run.
+        let err = run(&["sweep", "--kernel", "fft", "--n", "64", "--engin", "stackdist"])
+            .unwrap_err();
+        assert!(err.starts_with("unknown flag --engin (known: --kernel, --n"), "{err}");
+        assert!(!err.contains('\n'), "{err}");
+        for a in [
+            &["pe", "--c", "1e8", "--io", "1e7", "--m", "64", "--mm", "1"][..],
+            &["rebalance", "--law", "fft", "--alpha", "2", "--m", "64", "--n", "1"],
+            &["hierarchy", "--levels", "64:1e8", "--seed", "1"],
+            &["parallel", "--pes", "2", "--topology", "linear", "--engine", "auto"],
+            &["warp", "--n", "8"],
+            &["serve", "--store", "no-such-store", "--grid", "8"],
+            &["store", "build", "--dir", "no-such-store", "--ckpt-dir", "x"],
+            &["store", "fsck", "--dir", "no-such-store", "--grid", "8"],
+        ] {
+            let err = run(a).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{a:?}: {err}");
+        }
+        assert!(!std::path::Path::new("no-such-store").exists());
+        // A malformed optional value is an error, not its default.
+        let err = run(&["sweep", "--kernel", "fft", "--n", "64", "--seed", "abc"]).unwrap_err();
+        assert!(err.starts_with("--seed: "), "{err}");
+        let err = run(&["parallel", "--pes", "2", "--topology", "linear", "--seed", "x"])
+            .unwrap_err();
+        assert!(err.starts_with("--seed: "), "{err}");
+        let err = run(&["hierarchy", "--levels", "64:1e8", "--kernel", "fft", "--n", "x"])
+            .unwrap_err();
+        assert!(err.starts_with("--n: "), "{err}");
+        // An absent seed is 42.
+        assert_eq!(
+            run(&["sweep", "--kernel", "matvec", "--n", "16"]),
+            run(&["sweep", "--kernel", "matvec", "--n", "16", "--seed", "42"])
+        );
     }
 
     #[test]

@@ -31,11 +31,12 @@
 //! live in `numfmt`. An ASCII line splits on bytes, a slot is found by
 //! kernel index and a binary search over that kernel's sizes, and
 //! `balance` reads the exact breakpoint inverse
-//! ([`ProfilePayload::min_capacity_reaching`]). Warm, one verb at a time
-//! (`benches/profstore.rs`, median of 6 smoke runs on a 2-core host), an
-//! answer costs about 150 ns for `io`, 190 for `intensity`, 260 for
-//! `balance` and 840 for `binding`. Through `fmt`, Unicode splitting, a
-//! SipHash map and an f64 bisection it cost 320, 700, 600 and 960.
+//! ([`ProfilePayload::min_capacity_reaching`](balance_machine::ProfilePayload::min_capacity_reaching)).
+//! Warm, one verb at a time (`benches/profstore.rs`, median of 6 smoke
+//! runs on a 2-core host), an answer costs about 150 ns for `io`, 190
+//! for `intensity`, 260 for `balance` and 840 for `binding`. Through
+//! `fmt`, Unicode splitting, a SipHash map and an f64 bisection it cost
+//! 320, 700, 600 and 960.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -43,10 +44,10 @@ use std::io::{BufRead as _, BufReader, BufWriter, Read, Write};
 
 use balance_core::OpsPerSec;
 use balance_kernels::prelude::*;
-use balance_machine::{FaultPlan, ProfilePayload, ProfileStore};
+use balance_machine::{FaultPlan, ProfileStore};
 use balance_roofline::HierarchicalRoofline;
 
-use crate::cli::{parse_budget, parse_levels, parse_line_words, Flags};
+use crate::cli::{parse_budget, parse_levels, parse_line_words, Flags, BUDGET_FLAGS};
 use crate::numfmt::{push_fixed4, push_ratio, push_sci3, push_u64};
 
 /// Default size grid for `store build` when `--grid` is absent: powers
@@ -85,8 +86,9 @@ pub fn parse_grid(flags: &Flags) -> Result<Vec<usize>, String> {
     Ok(grid)
 }
 
-/// Parses `--kernels a,b,...` against the profile-store registry; absent
-/// means every registry kernel.
+/// Parses `--kernels a,b,...` against the profile-store registry
+/// (canonical names or their aliases, [`registry_kernel`]); absent means
+/// every registry kernel.
 ///
 /// # Errors
 ///
@@ -149,6 +151,7 @@ pub fn cmd_store(args: &[String]) -> Result<String, String> {
 ///
 /// Flag or store-open errors, as one-line diagnostics.
 pub fn cmd_store_build(flags: &Flags) -> Result<String, String> {
+    flags.only(&[&["dir", "kernels", "grid", "line-words"][..], &BUDGET_FLAGS].concat())?;
     let store = store_at(flags, "dir")?;
     let kernels = parse_kernels(flags)?;
     let grid = parse_grid(flags)?;
@@ -175,6 +178,7 @@ pub fn cmd_store_build(flags: &Flags) -> Result<String, String> {
 ///
 /// Flag or store errors, as one-line diagnostics.
 pub fn cmd_store_fsck(flags: &Flags) -> Result<String, String> {
+    flags.only(&["dir"])?;
     let store = store_at(flags, "dir")?;
     let report = store.fsck().map_err(|e| e.to_string())?;
     Ok(format!("store {}: {report}\n", store.dir().display()))
@@ -376,10 +380,7 @@ impl<'a> ServeSession<'a> {
                 let peak = self.peak;
                 let (slot, ops) = self.slot(kernel, n, true)?;
                 require_exact(&slot.served, "binding")?;
-                let traffic = match &slot.served.payload {
-                    ProfilePayload::Capacity(p) => p.traffic_for(&spec),
-                    ProfilePayload::Traffic(t) => t.traffic_for(&spec),
-                };
+                let traffic = slot.served.payload.traffic_for(&spec);
                 let ai: Vec<f64> = (0..spec.depth())
                     .map(|i| match traffic.get(i) {
                         Some(0) | None => f64::INFINITY,
@@ -413,14 +414,16 @@ impl<'a> ServeSession<'a> {
     }
 
     /// The slot of `(kernel, n)`, fetched on first use, and with `ops`
-    /// the kernel's op count at `n` (0 without). A key whose fetch fails
+    /// the kernel's op count at `n` (0 without). `kernel` is a canonical
+    /// name or an alias ([`canonical_kernel`]). A key whose fetch fails
     /// is not kept. A warm key costs one scan of the eleven registry names
     /// and one binary search. The op count comes before any fetch, so
     /// `intensity fft 100 16` fails on its missing trace before a repair
     /// starts. (An unknown kernel lists the registry only for `io`, as it
     /// always has.)
     fn slot(&mut self, kernel: &str, n: usize, ops: bool) -> Result<(&Slot, u64), String> {
-        let Some(k) = self.names.iter().position(|&name| name == kernel) else {
+        let canonical = canonical_kernel(kernel);
+        let Some(k) = self.names.iter().position(|&name| name == canonical) else {
             return Err(if ops {
                 format!("unknown kernel '{kernel}'")
             } else {
@@ -543,6 +546,7 @@ const SERVE_BUF: usize = 64 * 1024;
 /// diagnostics (individual query failures answer inline `! ` lines
 /// instead).
 pub fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), String> {
+    flags.only(&[&["store", "batch", "line-words", "peak"][..], &BUDGET_FLAGS].concat())?;
     let store = store_at(flags, "store")?;
     let model = traffic_model(flags)?;
     let budget = parse_budget(flags)?;
@@ -650,6 +654,33 @@ mod tests {
         assert!(err.contains("nonsense") && err.contains("matmul"), "{err}");
         let f = Flags::parse(&args(&["--kernels", "fft,sort"])).unwrap();
         assert_eq!(parse_kernels(&f).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn store_and_serve_take_the_kernel_aliases() {
+        let dir = tmp_dir("aliases");
+        let dir_s = dir.to_string_lossy().to_string();
+        let f = Flags::parse(&args(&["--dir", &dir_s, "--kernels", "lu", "--grid", "8"])).unwrap();
+        let out = cmd_store_build(&f).unwrap();
+        assert!(out.contains("built 1"), "{out}");
+        // The alias built the canonical entry: building it by name skips.
+        let by_name = ["--dir", &dir_s, "--kernels", "triangularization", "--grid", "8"];
+        let f = Flags::parse(&args(&by_name)).unwrap();
+        assert!(cmd_store_build(&f).unwrap().contains("skipped 1"));
+
+        let store = ProfileStore::open(&dir).unwrap();
+        let mut session = ServeSession::new(&store, TrafficModel::WORD, None, 1.0e9);
+        let canonical = session.answer("io triangularization 8 16").unwrap();
+        let want = "io triangularization 8 16 = 195 words  [hit [stackdist, exact]]";
+        assert_eq!(canonical, want);
+        let alias = session.answer("io lu 8 16").unwrap();
+        assert_eq!(alias, canonical.replacen("triangularization", "lu", 1));
+        for (alias, canonical) in [("grid2", "grid2d"), ("grid3", "grid3d")] {
+            let mut intensity = |k: &str| session.answer(&format!("intensity {k} 8 64")).unwrap();
+            let (a, c) = (intensity(alias), intensity(canonical));
+            assert_eq!(a, c.replacen(canonical, alias, 1));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub mod prelude {
     pub use crate::matvec::MatVec;
     pub use crate::multi_matvec::MultiMatVec;
     pub use crate::profservice::{
-        build_store, key_for, registry, registry_kernel, BuildOutcome, ProfileService, Served,
-        ServeSource,
+        build_store, canonical_kernel, key_for, registry, registry_kernel, BuildOutcome,
+        ProfileService, Served, ServeSource,
     };
     pub use crate::sorting::ExternalSort;
     pub use crate::sweep::{

@@ -48,10 +48,24 @@ pub fn registry() -> Vec<Box<dyn Kernel>> {
     kernels
 }
 
-/// Looks a kernel up by its canonical `Kernel::name()` (the spelling
-/// stored in profile image headers).
+/// The canonical kernel name (`Kernel::name`, the spelling stored in
+/// profile image headers) that `name` stands for: the short aliases `lu`,
+/// `grid2` and `grid3`, else the name itself.
+#[must_use]
+pub fn canonical_kernel(name: &str) -> &str {
+    match name {
+        "lu" => "triangularization",
+        "grid2" => "grid2d",
+        "grid3" => "grid3d",
+        other => other,
+    }
+}
+
+/// Looks a kernel up by its canonical `Kernel::name()` or an alias
+/// ([`canonical_kernel`]).
 #[must_use]
 pub fn registry_kernel(name: &str) -> Option<Box<dyn Kernel>> {
+    let name = canonical_kernel(name);
     registry().into_iter().find(|k| k.name() == name)
 }
 

@@ -55,6 +55,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use balance_core::{HierarchySpec, LevelTraffic, Words};
+
 use crate::checkpoint::{fnv1a, write_atomic, ByteReader, ByteWriter, CheckpointError};
 use crate::faults::{FaultPlan, StoreFault};
 use crate::sampling::MAX_SAMPLE_SHIFT;
@@ -318,6 +320,31 @@ impl ProfilePayload {
             ProfilePayload::Capacity(p) => p.io_at(m),
             ProfilePayload::Traffic(t) => t.words_at(m),
         }
+    }
+
+    /// Boundary traffic of a ladder with the given level capacities
+    /// (innermost first): [`CapacityProfile::traffic_at`], or (device
+    /// model) [`TrafficProfile::traffic_at`]'s fetch and write-back dual
+    /// ledger.
+    ///
+    /// # Panics
+    ///
+    /// As [`LevelTraffic::from_slice`]: more than
+    /// [`balance_core::MAX_MEMORY_LEVELS`] capacities panic.
+    #[must_use]
+    pub fn traffic_at(&self, capacities: &[Words]) -> LevelTraffic {
+        match self {
+            ProfilePayload::Capacity(p) => p.traffic_at(capacities),
+            ProfilePayload::Traffic(t) => t.traffic_at(capacities),
+        }
+    }
+
+    /// [`ProfilePayload::traffic_at`] for a validated [`HierarchySpec`]
+    /// (all levels cache-managed).
+    #[must_use]
+    pub fn traffic_for(&self, spec: &HierarchySpec) -> LevelTraffic {
+        let caps: Vec<Words> = spec.levels().iter().map(|l| l.capacity()).collect();
+        self.traffic_at(&caps)
     }
 
     /// The smallest capacity whose intensity `ops / words_at(M)` reaches
